@@ -253,31 +253,63 @@ def blob_nbytes(class_name: str, state: dict) -> int:
     return len(MAGIC) + 2 + encoded_nbytes(class_name) + encoded_nbytes(state)
 
 
+#: Mersenne Twister state length: 624 state words plus the position.
+_MT_STATE_WORDS = 625
+
+
 def pack_rng_state(state: tuple) -> tuple:
-    """Encode ``random.Random.getstate()`` output as serde-native tuples.
+    """Encode ``random.Random.getstate()`` as ``(version, uint32 words, gauss_next)``.
 
     The Mersenne Twister state is ``(version, (624 words + position),
-    gauss_next)`` — plain ints and an optional float, which the typed
-    binary encoder handles directly.  No string round-trip, no ``eval``.
+    gauss_next)``.  The 625 words travel as one ``uint32`` ndarray —
+    a single tagged buffer on the wire instead of 625 separately
+    tagged ints, which is what makes a persisted randomized sketch
+    cheap to encode and decode.  No string round-trip, no ``eval``.
     """
     version, internal, gauss_next = state
     return (
         int(version),
-        tuple(int(word) for word in internal),
+        np.fromiter(internal, dtype=np.uint32, count=len(internal)),
         None if gauss_next is None else float(gauss_next),
     )
+
+
+def _rng_words(internal: object) -> tuple:
+    """Validate a packed word vector; returns it as a tuple of ints."""
+    if isinstance(internal, np.ndarray):
+        if internal.dtype.kind != "u":
+            raise DeserializationError(
+                f"corrupt rng state: words have dtype {internal.dtype}, expected uint32"
+            )
+        if internal.ndim != 1:
+            raise DeserializationError(
+                f"corrupt rng state: words have ndim {internal.ndim}, expected 1"
+            )
+        words = tuple(internal.tolist())
+    else:
+        words = tuple(int(word) for word in internal)
+    if len(words) != _MT_STATE_WORDS:
+        raise DeserializationError(
+            f"corrupt rng state: {len(words)} words, expected {_MT_STATE_WORDS}"
+        )
+    if not 0 <= words[-1] <= _MT_STATE_WORDS - 1:
+        raise DeserializationError(
+            f"corrupt rng state: position {words[-1]} outside [0, 624]"
+        )
+    return words
 
 
 def unpack_rng_state(value: object) -> tuple:
     """Decode a packed RNG state into ``random.Random.setstate()`` form.
 
-    Accepts the structured tuple/list encoding written by
-    :func:`pack_rng_state` (lists appear when a state dict came through
-    a non-tuple-preserving channel).  Legacy blobs stored
-    ``repr(getstate())`` as a string — a tuple literal of ints with an
-    optional trailing float/``None`` — which maps 1:1 onto JSON, so it
-    parses with ``json.loads`` after bracket/``None`` translation; no
-    form of evaluation ever touches deserialized data.
+    Accepts the ``uint32`` ndarray written by :func:`pack_rng_state`
+    and the older structured tuple/list encoding (lists appear when a
+    state dict came through a non-tuple-preserving channel).  Legacy
+    blobs stored ``repr(getstate())`` as a string — a tuple literal of
+    ints with an optional trailing float/``None`` — which maps 1:1
+    onto JSON, so it parses with ``json.loads`` after bracket/``None``
+    translation; no form of evaluation ever touches deserialized data.
+    A malformed state of any form raises ``DeserializationError``.
     """
     if isinstance(value, str):
         translated = (
@@ -291,7 +323,7 @@ def unpack_rng_state(value: object) -> tuple:
         version, internal, gauss_next = value
         return (
             int(version),
-            tuple(int(word) for word in internal),
+            _rng_words(internal),
             None if gauss_next is None else float(gauss_next),
         )
     except (TypeError, ValueError) as exc:

@@ -21,10 +21,41 @@ import random
 
 import numpy as np
 
-from ..core.serde import pack_rng_state, unpack_rng_state
+from ..core.exceptions import DeserializationError
+from ..core.serde import encoded_nbytes, pack_rng_state, unpack_rng_state
 from .base import QuantileSketch
 
 __all__ = ["KLLSketch"]
+
+#: wire bytes of one compactor level besides its 8 B values: the
+#: ndarray tag, dtype string, shape and byte count.
+LEVEL_WIRE_OVERHEAD = encoded_nbytes(np.empty(0, dtype=np.float64))
+
+
+def levels_to_state(compactors: list) -> list:
+    """Compactor levels as float64 ndarrays (one tagged buffer per level)."""
+    return [np.array(buf, dtype=np.float64) for buf in compactors]
+
+
+def levels_from_state(levels) -> list:
+    """Compactor levels back from arrays, or from the older float lists."""
+    out = []
+    for buf in levels:
+        if isinstance(buf, np.ndarray):
+            if buf.ndim != 1 or buf.dtype.kind != "f":
+                raise DeserializationError(
+                    f"corrupt compactor level: dtype {buf.dtype}, ndim {buf.ndim}"
+                )
+            out.append(buf.astype(np.float64, copy=False).tolist())
+        else:
+            out.append(list(buf))
+    return out
+
+
+def footprint_of(sketch) -> int:
+    """Wire size of a compactor-stack sketch: levels + RNG state."""
+    stored = sum(LEVEL_WIRE_OVERHEAD + 8 * len(buf) for buf in sketch._compactors)
+    return 128 + stored + encoded_nbytes(pack_rng_state(sketch._rng.getstate()))
 
 
 def bulk_insert(sketch, values) -> int:
@@ -212,18 +243,15 @@ class KLLSketch(QuantileSketch):
         return merged
 
     def memory_footprint(self) -> int:
-        """O(levels): retained values (9 B each on the wire) + RNG state."""
-        from ..core.serde import encoded_nbytes
-
-        stored = sum(9 + 9 * len(buf) for buf in self._compactors)
-        return 128 + stored + encoded_nbytes(pack_rng_state(self._rng.getstate()))
+        """O(levels): retained values (8 B each on the wire) + RNG state."""
+        return footprint_of(self)
 
     def state_dict(self) -> dict:
         return {
             "k": self.k,
             "seed": self.seed,
             "n": self.n,
-            "compactors": [list(buf) for buf in self._compactors],
+            "compactors": levels_to_state(self._compactors),
             "rng_state": pack_rng_state(self._rng.getstate()),
         }
 
@@ -231,6 +259,6 @@ class KLLSketch(QuantileSketch):
     def from_state_dict(cls, state: dict) -> "KLLSketch":
         sk = cls(k=state["k"], seed=state["seed"])
         sk.n = state["n"]
-        sk._compactors = [list(buf) for buf in state["compactors"]]
+        sk._compactors = levels_from_state(state["compactors"])
         sk._rng.setstate(unpack_rng_state(state["rng_state"]))
         return sk

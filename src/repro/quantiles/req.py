@@ -27,7 +27,7 @@ import random
 
 from ..core.serde import pack_rng_state, unpack_rng_state
 from .base import QuantileSketch
-from .kll import bulk_insert
+from .kll import bulk_insert, footprint_of, levels_from_state, levels_to_state
 
 __all__ = ["ReqSketch"]
 
@@ -154,18 +154,15 @@ class ReqSketch(QuantileSketch):
         return merged
 
     def memory_footprint(self) -> int:
-        """O(levels): retained values (9 B each on the wire) + RNG state."""
-        from ..core.serde import encoded_nbytes
-
-        stored = sum(9 + 9 * len(buf) for buf in self._compactors)
-        return 128 + stored + encoded_nbytes(pack_rng_state(self._rng.getstate()))
+        """O(levels): retained values (8 B each on the wire) + RNG state."""
+        return footprint_of(self)
 
     def state_dict(self) -> dict:
         return {
             "k": self.k,
             "seed": self.seed,
             "n": self.n,
-            "compactors": [list(buf) for buf in self._compactors],
+            "compactors": levels_to_state(self._compactors),
             "rng_state": pack_rng_state(self._rng.getstate()),
         }
 
@@ -173,6 +170,6 @@ class ReqSketch(QuantileSketch):
     def from_state_dict(cls, state: dict) -> "ReqSketch":
         sk = cls(k=state["k"], seed=state["seed"])
         sk.n = state["n"]
-        sk._compactors = [list(buf) for buf in state["compactors"]]
+        sk._compactors = levels_from_state(state["compactors"])
         sk._rng.setstate(unpack_rng_state(state["rng_state"]))
         return sk

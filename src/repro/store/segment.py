@@ -20,7 +20,12 @@ segment unreadable:
     its window-record offsets, then a fixed 12-byte footer
     ``index offset (u64) | b"RSGX"`` — readers check the footer first
     and fall back to a sequential scan when it is absent (unsealed or
-    crashed segment).
+    crashed segment).  The index also carries an optional
+    ``"windows"`` entry — parallel ``offset`` (int64), ``start`` and
+    ``end`` (float64) arrays, one row per window record — so a
+    time-range read skips records outside its range without decoding
+    them.  Readers that predate the key ignore it; indexes without it
+    fall back to decode-then-filter.
 
 Every record carries its own CRC32, so a torn tail write (partial
 frame, partial payload, garbage after a crash) truncates the readable
@@ -32,9 +37,12 @@ number of bytes it had to abandon (:attr:`SegmentReader.tail_garbage`).
 from __future__ import annotations
 
 import io
+import math
 import os
 import struct
 import zlib
+
+import numpy as np
 
 from ..core.exceptions import DeserializationError
 from ..core.serde import decode_value, encode_value
@@ -77,6 +85,20 @@ def _frame(rec_type: int, payload: bytes) -> bytes:
     return _FRAME.pack(rec_type, len(payload), zlib.crc32(payload)) + payload
 
 
+def _windows_of(value: object, n_records: int) -> dict[int, tuple[float, float]]:
+    """Decode an index's ``"windows"`` entry; ``{}`` when absent or malformed."""
+    if not isinstance(value, dict):
+        return {}
+    columns = [value.get(name) for name in ("offset", "start", "end")]
+    if not all(
+        isinstance(col, np.ndarray) and col.ndim == 1 and len(col) == n_records
+        for col in columns
+    ):
+        return {}
+    offsets, starts, ends = (col.tolist() for col in columns)
+    return {int(o): (float(s), float(e)) for o, s, e in zip(offsets, starts, ends)}
+
+
 class SegmentWriter:
     """Appends window records to one segment file.
 
@@ -99,6 +121,9 @@ class SegmentWriter:
         self.end: float | None = None
         # key -> {"kind": str, "offsets": [int, ...]} in first-seen order.
         self._index: dict[tuple, dict] = {}
+        # (offset, start, end) of every record, in append order.
+        self._windows: list[tuple[int, float, float]] = []
+        self._reader: SegmentReader | None = None
         self._sealed = False
 
     @property
@@ -118,6 +143,8 @@ class SegmentWriter:
         self.n_records += 1
         self.start = record["start"] if self.start is None else min(self.start, record["start"])
         self.end = record["end"] if self.end is None else max(self.end, record["end"])
+        self._windows.append((offset, record["start"], record["end"]))
+        self._reader = None
         for entry in series:
             key = series_key(entry["name"], entry.get("labels", {}))
             slot = self._index.get(key)
@@ -135,11 +162,10 @@ class SegmentWriter:
         if fsync:
             os.fsync(self._file.fileno())
 
-    def seal(self, fsync: bool = False) -> None:
-        """Write the key index and footer, then close (idempotent)."""
-        if self._file is None:
-            return
-        index = {
+    def index(self) -> dict:
+        """The key index of the records appended so far (sealed form)."""
+        offsets, starts, ends = zip(*self._windows) if self._windows else ((), (), ())
+        return {
             "start": self.start,
             "end": self.end,
             "n_records": self.n_records,
@@ -152,9 +178,34 @@ class SegmentWriter:
                 }
                 for (name, labels), slot in self._index.items()
             ],
+            "windows": {
+                "offset": np.array(offsets, dtype=np.int64),
+                "start": np.array(starts, dtype=np.float64),
+                "end": np.array(ends, dtype=np.float64),
+            },
         }
+
+    def reader(self) -> "SegmentReader":
+        """A reader over every record appended so far, built from memory.
+
+        It holds exactly what :meth:`SegmentReader.load` would parse
+        from the sealed index, without touching the file; records are
+        still read from disk, so unsealed writers must :meth:`flush`
+        first.  Cached until the next append or the seal.
+        """
+        if self._reader is None:
+            reader = SegmentReader(self.path)
+            reader.level = self.level
+            reader.sealed = self._sealed
+            self._reader = reader._adopt_index(self.index())
+        return self._reader
+
+    def seal(self, fsync: bool = False) -> None:
+        """Write the key index and footer, then close (idempotent)."""
+        if self._file is None:
+            return
         index_offset = self.nbytes
-        data = _frame(REC_INDEX, _encode_record(index))
+        data = _frame(REC_INDEX, _encode_record(self.index()))
         data += _FOOTER.pack(index_offset, FOOTER_MAGIC)
         self._file.write(data)
         self.nbytes += len(data)
@@ -162,6 +213,7 @@ class SegmentWriter:
         self._file.close()
         self._file = None
         self._sealed = True
+        self._reader = None
 
     def close(self) -> None:
         """Close without sealing (the segment stays scan-readable)."""
@@ -186,7 +238,10 @@ class SegmentReader:
     scan to recover record offsets and the covered time range.  Either
     way the reader ends up with :attr:`start`/:attr:`end`/
     :attr:`n_records` plus a key → offsets map, so lookups by
-    ``(metric, labels)`` touch only the records that carry the key.
+    ``(metric, labels)`` touch only the records that carry the key, and
+    — when the index lists each record's window, or the scan saw it —
+    an offset → ``(start, end)`` map, so range reads touch only the
+    records inside the range.
     """
 
     def __init__(self, path: str) -> None:
@@ -200,6 +255,8 @@ class SegmentReader:
         self.tail_garbage = 0
         self._index: dict[tuple, dict] = {}
         self._offsets: list[int] = []
+        # offset -> (start, end); empty when the index predates it.
+        self._windows: dict[int, tuple[float, float]] = {}
         self._loaded = False
 
     # -- parsing ---------------------------------------------------------------
@@ -222,21 +279,31 @@ class SegmentReader:
             index = self._try_footer(fh)
             if index is not None:
                 self.sealed = True
-                self.start = index["start"]
-                self.end = index["end"]
-                self.n_records = index["n_records"]
-                for entry in index["series"]:
-                    key = series_key(entry["name"], entry["labels"])
-                    self._index[key] = {
-                        "kind": entry["kind"],
-                        "offsets": [int(o) for o in entry["offsets"]],
-                    }
-                seen = set()
-                for slot in self._index.values():
-                    seen.update(slot["offsets"])
-                self._offsets = sorted(seen)
+                self._adopt_index(index)
             else:
                 self._scan_all(fh)
+        self._loaded = True
+        return self
+
+    def _adopt_index(self, index: dict) -> "SegmentReader":
+        """Take range, key index and record windows from a sealed-form index."""
+        self.start = index["start"]
+        self.end = index["end"]
+        self.n_records = index["n_records"]
+        for entry in index["series"]:
+            key = series_key(entry["name"], entry["labels"])
+            self._index[key] = {
+                "kind": entry["kind"],
+                "offsets": [int(o) for o in entry["offsets"]],
+            }
+        seen = set()
+        for slot in self._index.values():
+            seen.update(slot["offsets"])
+        windows = _windows_of(index.get("windows"), self.n_records)
+        if seen <= windows.keys():
+            self._windows = windows
+            seen.update(windows)
+        self._offsets = sorted(seen)
         self._loaded = True
         return self
 
@@ -301,6 +368,7 @@ class SegmentReader:
             self.n_records += 1
             self._offsets.append(offset)
             start, end = float(record["start"]), float(record["end"])
+            self._windows[offset] = (start, end)
             self.start = start if self.start is None else min(self.start, start)
             self.end = end if self.end is None else max(self.end, end)
             for entry in record.get("series", []):
@@ -340,10 +408,28 @@ class SegmentReader:
             raise DeserializationError(f"{self.path}@{offset}: not a window record")
         return record
 
-    def records(self, offsets: list[int] | None = None):
-        """Yield ``(offset, record)`` for the given offsets (default: all)."""
+    def records(
+        self,
+        offsets: list[int] | None = None,
+        since: float = -math.inf,
+        until: float = math.inf,
+    ):
+        """Yield ``(offset, record)`` for the given offsets (default: all).
+
+        Records whose window is known to lie outside ``[since, until)``
+        are skipped without being read; records of an index that does
+        not list windows are all read, and the caller filters them.
+        """
         self.load()
         wanted = self._offsets if offsets is None else sorted(set(offsets))
+        if self._windows:
+            windows = self._windows
+            wanted = [
+                offset
+                for offset in wanted
+                if offset not in windows
+                or (windows[offset][1] > since and windows[offset][0] < until)
+            ]
         if not wanted:
             return
         with open(self.path, "rb") as fh:

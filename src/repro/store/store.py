@@ -292,7 +292,7 @@ class SketchStore:
                 os.unlink(writer.path)
                 return
             writer.seal(fsync=self.fsync)
-            self._segments.append(SegmentReader(writer.path).load())
+            self._segments.append(writer.reader())
         self._count(
             "repro_store_segments_sealed_total",
             "Segments sealed (key index + footer written).",
@@ -313,13 +313,14 @@ class SketchStore:
     def _readers(self) -> list[SegmentReader]:
         """Every readable segment, including the active one's current state.
 
-        The active segment is re-scanned on demand (records already
-        flushed to the file are visible); sealed readers are cached.
+        The active segment is served from its writer's in-memory index
+        (flushed first, so every appended record is readable) instead
+        of re-parsing the file; sealed readers are cached.
         """
         readers = list(self._segments)
         if self._active is not None and self._active.n_records:
             self._active.flush()
-            readers.append(SegmentReader(self._active.path).load())
+            readers.append(self._active.reader())
         readers.sort(key=lambda r: (r.start if r.start is not None else math.inf, r.path))
         return readers
 
@@ -366,7 +367,8 @@ class SketchStore:
         A row matches when the series name equals ``metric``, its
         labels are a superset of ``label_filter``, and its window
         overlaps ``[since, until)``.  Rows come out ordered by
-        ``(window start, segment, offset)``.
+        ``(window start, segment, offset)``.  Records the segment index
+        places outside the range are never decoded.
         """
         wanted = set(label_filter.items())
         with self._lock:
@@ -382,11 +384,11 @@ class SketchStore:
                 if not keys:
                     continue
                 offsets = sorted({o for key in keys for o in reader.offsets_for(key)})
-                for offset, record in reader.records(offsets):
+                for offset, record in reader.records(offsets, since, until):
+                    windows_read += 1
                     start, end = float(record["start"]), float(record["end"])
                     if not (end > since and start < until):
                         continue
-                    windows_read += 1
                     for entry in record["series"]:
                         key = series_key(entry["name"], entry.get("labels", {}))
                         if key[0] == metric and wanted <= set(key[1]):
@@ -492,11 +494,11 @@ class SketchStore:
         rows = []
         count = 0
         for reader in readers:
-            for offset, record in reader.records():
+            for offset, record in reader.records(since=lo, until=hi):
+                count += 1
                 start, end = float(record["start"]), float(record["end"])
                 if not (end > lo and start < hi):
                     continue
-                count += 1
                 rows.append((start, end, record["series"]))
         if count:
             self._count(
@@ -575,7 +577,7 @@ class SketchStore:
                     encoded.append(wire)
                 writer.append(window["start"], window["end"], encoded)
             writer.seal(fsync=self.fsync)
-            reader = SegmentReader(writer.path).load()
+            reader = writer.reader()
             self._segments.append(reader)
         self._count(
             "repro_store_bytes_written_total", "Bytes appended to segment files.",

@@ -2,9 +2,11 @@
 
 Randomized sketches used to store ``repr(rng.getstate())`` and restore
 it with ``eval`` — an arbitrary-code-execution hole for untrusted
-blobs.  The state is now packed as serde-native nested tuples via
-:func:`~repro.core.pack_rng_state`; legacy repr-strings still load
-via a JSON translation of the tuple literal (no evaluation).
+blobs.  The state is now packed as serde-native values via
+:func:`~repro.core.pack_rng_state` — the 625 Mersenne Twister words as
+one ``uint32`` ndarray.  Blobs of the earlier tuple/list form and
+legacy repr-strings (via a JSON translation of the tuple literal, no
+evaluation) still load.
 """
 
 import random
@@ -18,6 +20,7 @@ from repro.core import (
     pack_rng_state,
     unpack_rng_state,
 )
+from repro.core.serde import dump_sketch
 from repro.counting import MorrisCounter
 from repro.quantiles import KLLSketch, ReqSketch
 from repro.sampling import ReservoirSampler, WeightedReservoirSampler
@@ -48,8 +51,10 @@ class TestPackUnpack:
         packed = pack_rng_state(random.Random(7).getstate())
         version, internal, gauss_next = packed
         assert isinstance(version, int)
-        assert isinstance(internal, tuple)
-        assert all(isinstance(w, int) for w in internal)
+        assert isinstance(internal, np.ndarray)
+        assert internal.ndim == 1 and internal.dtype.kind == "u"
+        assert internal.shape == (625,)
+        assert int(internal[-1]) <= 624
         assert gauss_next is None or isinstance(gauss_next, float)
 
     def test_restored_rng_continues_identically(self):
@@ -75,6 +80,50 @@ class TestPackUnpack:
     def test_corrupt_states_raise(self, bad):
         with pytest.raises(DeserializationError):
             unpack_rng_state(bad)
+
+    def test_accepts_old_tuple_form(self):
+        state = random.Random(11).getstate()
+        old = (state[0], tuple(state[1]), state[2])
+        assert unpack_rng_state(old) == old
+
+
+def _packed_words():
+    return pack_rng_state(random.Random(7).getstate())[1]
+
+
+CORRUPT_WORDS = {
+    "short": lambda: _packed_words()[:-1],
+    "long": lambda: np.concatenate([_packed_words(), _packed_words()[:1]]),
+    "float-dtype": lambda: _packed_words().astype(np.float64),
+    "signed-dtype": lambda: _packed_words().astype(np.int64),
+    "2-d": lambda: _packed_words().reshape(25, 25),
+    "position-625": lambda: np.concatenate(
+        [_packed_words()[:-1], np.array([625], dtype=np.uint32)]
+    ),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPT_WORDS, ids=list(CORRUPT_WORDS))
+class TestCorruptArrayState:
+    def test_unpack_raises_deserialization_error(self, corrupt):
+        with pytest.raises(DeserializationError):
+            unpack_rng_state((3, CORRUPT_WORDS[corrupt](), None))
+
+    def test_blob_raises_deserialization_error(self, corrupt):
+        state = KLLSketch(k=32, seed=1).state_dict()
+        state["rng_state"] = (3, CORRUPT_WORDS[corrupt](), None)
+        with pytest.raises(DeserializationError):
+            from_bytes_any(dump_sketch("KLLSketch", state))
+
+
+@pytest.mark.parametrize("cls", [KLLSketch, ReqSketch], ids=["kll", "req"])
+def test_corrupt_compactor_level_raises(cls):
+    sk = cls(k=16, seed=1)
+    sk.update_many(np.arange(100, dtype=np.float64))
+    state = sk.state_dict()
+    state["compactors"][0] = np.zeros((2, 2))
+    with pytest.raises(DeserializationError):
+        from_bytes_any(dump_sketch(cls.__name__, state))
 
 
 RNG = np.random.default_rng(5)
@@ -140,6 +189,24 @@ class TestSketchRoundTrips:
         sk = factory()
         load(sk)
         assert not isinstance(sk.state_dict()["rng_state"], str)
+
+    def test_old_tuple_list_blob_decodes_bitwise(self, name, factory, load, poke):
+        original = factory()
+        load(original)
+        # the state as the tuple/list encoding wrote it: the 625 words
+        # as a tuple of ints, compactor levels as lists of floats.
+        old = original.state_dict()
+        version, words, gauss_next = old["rng_state"]
+        old["rng_state"] = (version, tuple(int(w) for w in words), gauss_next)
+        if "compactors" in old:
+            old["compactors"] = [level.tolist() for level in old["compactors"]]
+        clone = from_bytes_any(dump_sketch(type(original).__name__, old))
+        assert normalize(clone.state_dict()) == normalize(original.state_dict())
+        assert clone.to_bytes() == original.to_bytes()
+        poke(original)
+        poke(clone)
+        assert normalize(clone.state_dict()) == normalize(original.state_dict())
+        assert original._rng.random() == clone._rng.random()
 
     def test_legacy_string_state_still_loads(self, name, factory, load, poke):
         original = factory()

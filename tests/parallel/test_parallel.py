@@ -18,6 +18,7 @@ from repro.parallel import (
     parallel_build,
     partition_items,
 )
+import repro.parallel.sharded as sharded_mod
 from repro.parallel.sharded import SMALL_INPUT_THRESHOLD, _resolve_backend
 from repro.quantiles import KLLSketch
 from repro.streaming import GroupBySketcher, StreamPipeline
@@ -102,12 +103,33 @@ class TestSketchSpec:
             SketchSpec(42)
 
 
+@pytest.fixture
+def unwarned_fallbacks():
+    """Let this test see the once-per-process fallback warning.
+
+    Reasons warned here stay marked afterwards, so later tests do not
+    repeat the warning.
+    """
+    saved = set(sharded_mod._FALLBACK_WARNED)
+    sharded_mod._FALLBACK_WARNED.clear()
+    yield
+    sharded_mod._FALLBACK_WARNED.update(saved)
+
+
 @pytest.mark.parametrize("backend", ["serial", "thread", "process", "auto"])
 class TestParallelBuildBackends:
-    def test_hll_matches_single_stream(self, backend):
-        merged = parallel_build(
-            HLL_SPEC, partition_items(ITEMS, 4), workers=2, backend=backend
-        )
+    def test_hll_matches_single_stream(self, backend, unwarned_fallbacks):
+        def build():
+            return parallel_build(
+                HLL_SPEC, partition_items(ITEMS, 4), workers=2, backend=backend
+            )
+
+        if backend == "auto":
+            # ITEMS is below the small-input cut, so auto keeps to threads.
+            with pytest.warns(RuntimeWarning, match=r"fell back to 'thread' \(small_input\)"):
+                merged = build()
+        else:
+            merged = build()
         assert_same_state(merged, reference(HLL_SPEC))
 
     def test_countmin_matches_single_stream(self, backend):

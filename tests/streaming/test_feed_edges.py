@@ -121,5 +121,5 @@ class TestFeedEdges:
         for value in stream:
             ref_hll.update(value)
 
-        assert batched_kll.sketch.state_dict() == ref_kll.state_dict()
+        assert batched_kll.sketch.to_bytes() == ref_kll.to_bytes()
         assert plain_hll.sketch.estimate() == ref_hll.estimate()
