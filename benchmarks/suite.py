@@ -22,6 +22,8 @@ Tags:
   scatter, build, and reduce are all inside the timed region;
 - ``obs`` — the telemetry timeline (the A9 observability plane):
   ``obs/timeline_record`` feeds histograms and ticks windows closed,
+  ``obs/observe_inline`` is the per-request path (one ``observe`` +
+  one ``inc`` per value on labelled series, a tick per window),
   ``obs/timeline_query`` folds window KLL partials for range quantiles,
   ``obs/alert_eval`` runs full alert-engine evaluation passes (threshold,
   p99 SLO, KLL drift, change-point) against a prebuilt timeline;
@@ -30,7 +32,7 @@ Tags:
   (serde encode + framing + buffered write per window),
   ``store/query`` answers range + GROUP BY reads from sealed segments
   (index lookup, partial decode, k-way fold);
-- ``fast`` — the curated ~18-case subset the CI regression gate runs
+- ``fast`` — the curated ~20-case subset the CI regression gate runs
   (~seconds, not minutes).
 
 Workloads come from :mod:`repro.workloads` generators seeded through
@@ -198,6 +200,12 @@ TIMELINE_OBS = 2_000
 TIMELINE_QUERIES = 64
 ALERT_EVALS = 16
 
+#: inline instrumentation shape: labelled routes, windows, and values
+#: each route observes per window (one observe + inc per value).
+INLINE_ROUTES = 16
+INLINE_WINDOWS = 12
+INLINE_OBS = 200
+
 #: durable store shape: windows persisted per append pass, observations
 #: behind each KLL partial, labelled shards per window (exercises the
 #: key index + GROUP BY), and range queries folded per timed run.
@@ -225,6 +233,7 @@ FAST_IDS = frozenset({
     "parallel/HyperLogLog/shm",
     "parallel/HyperLogLog/process",
     "obs/timeline_record",
+    "obs/observe_inline",
     "obs/timeline_query",
     "obs/alert_eval",
     "store/append",
@@ -442,6 +451,41 @@ def build_runner(
         prepare=record_prepare,
         n_items=TIMELINE_WINDOWS * TIMELINE_OBS,
         params={"windows": TIMELINE_WINDOWS, "obs_per_window": TIMELINE_OBS},
+        tags=tags_for(cid, "obs", "throughput"),
+    )
+
+    cid = "obs/observe_inline"
+
+    def inline_prepare(ctx):
+        values = ctx.rng.lognormal(mean=-3.0, sigma=0.8,
+                                   size=(INLINE_WINDOWS, INLINE_ROUTES, INLINE_OBS))
+        return values.tolist()
+
+    def inline_run(_, windows):
+        # An instrumented service: every request observes its latency
+        # and bumps its route's counter inline, with a recorder attached.
+        registry, recorder, clock = _timeline_fixture()
+        routes = [
+            (registry.histogram("bench_lat_seconds", "Inline bench.", route=f"r{i}"),
+             registry.counter("bench_requests_total", "Inline bench.", route=f"r{i}"))
+            for i in range(INLINE_ROUTES)
+        ]
+        recorder.tick()  # attach the window mirrors
+        for window in windows:
+            for (hist, counter), values in zip(routes, window):
+                for value in values:
+                    hist.observe(value)
+                    counter.inc()
+            clock[0] += 1.0
+            recorder.tick()
+
+    runner.add(
+        cid, "Timeline",
+        run=inline_run,
+        prepare=inline_prepare,
+        n_items=INLINE_WINDOWS * INLINE_ROUTES * INLINE_OBS,
+        params={"windows": INLINE_WINDOWS, "routes": INLINE_ROUTES,
+                "obs_per_window": INLINE_OBS},
         tags=tags_for(cid, "obs", "throughput"),
     )
 

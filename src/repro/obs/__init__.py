@@ -34,7 +34,14 @@ private registry instead.
 ``quantile(q)`` / the exported p50/p90/p99/p999 carry KLL's guarantee
 rather than fixed-bucket approximations — the histogram *is* one of
 the library's own sketches.  ``count``/``sum`` are exact; the empty
-histogram reports ``NaN`` quantiles (``None`` in JSON).
+histogram reports ``NaN`` quantiles (``None`` in JSON).  An inline
+``observe()`` only appends to a buffer of up to 64 values under the
+histogram lock; the buffer flushes through KLL's bulk path when it
+fills, into the window mirror on every timeline tick, and into
+everything on any read (``count``, ``quantile``, ``snapshot``, the
+exporters).  The bulk path compacts at the same fill points as
+per-item updates, so the sketches are bitwise what per-item feeding
+would give.
 
 What the hooks record
 ---------------------

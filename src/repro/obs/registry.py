@@ -162,7 +162,7 @@ class Counter:
         self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
+        if not amount >= 0:  # also rejects NaN, which would poison the total
             raise ValueError(f"counters only go up, got {amount}")
         with self._lock:
             self._value += amount
@@ -209,6 +209,10 @@ class Gauge:
         return f"Gauge({self.name}{self.labels or ''} = {self._value})"
 
 
+#: observations a histogram buffers before one ``update_many`` flush.
+_PENDING_MAX = 64
+
+
 class SketchHistogram:
     """A KLL-backed distribution (exported as a Prometheus ``summary``).
 
@@ -218,10 +222,16 @@ class SketchHistogram:
     guarantee (ε ≈ O(1/k)).  The inner sketch deliberately bypasses the
     core instrumentation hooks — a histogram recording itself recording
     itself would recurse.
+
+    ``observe`` only appends to a short pending list under the lock;
+    every 64 values, one bulk update feeds them to the cumulative KLL
+    and the window mirror.  KLL's bulk path compacts at the same fill
+    points as per-item updates, so both sketches end up bitwise-identical
+    to per-item feeding.  Any read flushes first.
     """
 
     __slots__ = ("name", "help", "labels", "quantiles", "_kll", "_sum", "_lock",
-                 "_raw_update", "_raw_update_many", "_window_kll")
+                 "_raw_update_many", "_window_kll", "_pending", "_mirror_from")
 
     kind = "histogram"
 
@@ -245,27 +255,30 @@ class SketchHistogram:
         self.labels = dict(labels or {})
         self.quantiles = tuple(quantiles)
         self._kll = KLLSketch(k=k, seed=0)
-        # The unwrapped kernels: recording into the histogram must not
+        # The unwrapped kernel: recording into the histogram must not
         # re-enter the obs hooks wrapped around KLLSketch's methods.
-        update = KLLSketch.update
         update_many = KLLSketch.update_many
-        self._raw_update = getattr(update, "__wrapped__", update)
         self._raw_update_many = getattr(update_many, "__wrapped__", update_many)
         self._sum = 0.0
         self._lock = threading.Lock()
         # Current-window mirror sketch, fed alongside the cumulative KLL
-        # while a TimelineRecorder is attached (None otherwise, so the
-        # unattached cost is one load + None check under the lock).
+        # while a TimelineRecorder is attached (None otherwise).
         self._window_kll = None
+        # Values observed but not yet in the cumulative KLL; the mirror
+        # still owes the ones from index ``_mirror_from`` on (earlier
+        # ones predate it or were flushed to it at a tick).
+        self._pending: list[float] = []
+        self._mirror_from = 0
 
     def observe(self, value: float) -> None:
         """Record one observation."""
+        value = float(value)
         with self._lock:
-            self._raw_update(self._kll, value)
-            window = self._window_kll
-            if window is not None:
-                self._raw_update(window, value)
+            pending = self._pending
+            pending.append(value)
             self._sum += value
+            if len(pending) >= _PENDING_MAX:
+                self._flush()
 
     def observe_many(self, values) -> None:
         """Record a batch of observations through the KLL bulk path."""
@@ -273,11 +286,28 @@ class SketchHistogram:
         if not values:
             return
         with self._lock:
-            self._raw_update_many(self._kll, values)
-            window = self._window_kll
-            if window is not None:
-                self._raw_update_many(window, values)
+            self._pending.extend(values)
             self._sum += sum(values)
+            self._flush()
+
+    # -- pending buffer (every helper runs with the lock held) -----------------
+
+    def _flush_window(self) -> None:
+        """Feed the mirror the pending values it has not seen yet."""
+        pending = self._pending
+        window = self._window_kll
+        if window is not None and self._mirror_from < len(pending):
+            self._raw_update_many(window, pending[self._mirror_from:])
+        self._mirror_from = len(pending)
+
+    def _flush(self) -> None:
+        """Feed every pending value to the mirror and the cumulative KLL."""
+        pending = self._pending
+        if pending:
+            self._flush_window()
+            self._raw_update_many(self._kll, pending)
+            pending.clear()
+        self._mirror_from = 0
 
     # -- timeline window mirror (driven by repro.obs.timeline) -----------------
 
@@ -288,6 +318,8 @@ class SketchHistogram:
         with self._lock:
             if self._window_kll is None:
                 self._window_kll = KLLSketch(k=self._kll.k, seed=0)
+                # Values already pending were observed before the window.
+                self._mirror_from = len(self._pending)
 
     def _take_window(self):
         """Swap the current-window KLL out for a fresh one and return it.
@@ -295,24 +327,29 @@ class SketchHistogram:
         Returns None when no window mirror is attached.  The swap is
         atomic with respect to :meth:`observe` — both run under the
         histogram lock — so an observation lands entirely in one window
-        (never torn across two).
+        (never torn across two).  Only the mirror is flushed: values
+        still owed to the cumulative KLL stay pending.
         """
         from ..quantiles.kll import KLLSketch
 
         with self._lock:
             window = self._window_kll
             if window is not None:
+                self._flush_window()
                 self._window_kll = KLLSketch(k=self._kll.k, seed=0)
             return window
 
     def _detach_window(self) -> None:
         """Stop mirroring (the unattached observe path is mirror-free)."""
         with self._lock:
+            self._flush_window()
             self._window_kll = None
 
     @property
     def count(self) -> int:
-        return self._kll.n
+        with self._lock:
+            self._flush()
+            return self._kll.n
 
     @property
     def sum(self) -> float:
@@ -330,6 +367,7 @@ class SketchHistogram:
     def quantile(self, q: float) -> float:
         """Estimated q-quantile of everything observed (NaN when empty)."""
         with self._lock:
+            self._flush()
             if self._kll.n == 0:
                 return float("nan")
             return self._kll.quantile(q)
@@ -337,6 +375,7 @@ class SketchHistogram:
     def snapshot(self) -> dict[str, Any]:
         """count/sum/quantiles as plain data (the JSON export form)."""
         with self._lock:
+            self._flush()
             n = self._kll.n
             quantiles = {
                 str(q): (self._kll.quantile(q) if n else None) for q in self.quantiles
@@ -344,7 +383,10 @@ class SketchHistogram:
             return {"count": n, "sum": self._sum, "quantiles": quantiles}
 
     def __repr__(self) -> str:
-        return f"SketchHistogram({self.name}{self.labels or ''}, n={self._kll.n})"
+        with self._lock:
+            self._flush()
+            n = self._kll.n
+        return f"SketchHistogram({self.name}{self.labels or ''}, n={n})"
 
 
 class MetricsRegistry:

@@ -99,14 +99,32 @@ class KLLSketch(QuantileSketch):
         self.seed = seed
         self._rng = random.Random(seed)
         self._compactors: list[list[float]] = [[]]
+        # Per-level capacities for the current height (see _capacities).
+        self._caps: list[int] = []
         self.n = 0
 
     # -- internals ------------------------------------------------------------
 
+    def _capacities(self) -> list[int]:
+        """Per-level capacities k·c^(H−level), min 2 (H = top level).
+
+        They depend only on the height, so the list is cached and
+        rebuilt only when the number of levels changes — by ``_grow``
+        or by code that assigns ``_compactors`` outright (``merge_many``,
+        ``from_state_dict``).
+        """
+        caps = self._caps
+        if len(caps) != len(self._compactors):
+            height = len(self._compactors) - 1
+            caps = self._caps = [
+                max(2, int(self.k * (_CAPACITY_DECAY ** (height - level))))
+                for level in range(height + 1)
+            ]
+        return caps
+
     def _capacity(self, level: int) -> int:
-        """Capacity of ``level``: k·c^(H−level), min 2 (H = top level)."""
-        height = len(self._compactors) - 1
-        return max(2, int(self.k * (_CAPACITY_DECAY ** (height - level))))
+        """Capacity of ``level`` at the current height."""
+        return self._capacities()[level]
 
     def _grow(self) -> None:
         self._compactors.append([])
@@ -125,19 +143,23 @@ class KLLSketch(QuantileSketch):
         self._compactors[level + 1].extend(promoted)
 
     def _compress(self) -> None:
+        compactors = self._compactors
+        caps = self._capacities()
         level = 0
-        while level < len(self._compactors):
-            if len(self._compactors[level]) >= self._capacity(level):
+        while level < len(compactors):
+            if len(compactors[level]) >= caps[level]:
                 self._compact_level(level)
+                caps = self._capacities()  # a new top level shifts every capacity
             level += 1
 
     # -- public API ------------------------------------------------------------
 
     def update(self, value: float) -> None:
         """Insert one value."""
-        self._compactors[0].append(float(value))
+        buf = self._compactors[0]
+        buf.append(float(value))
         self.n += 1
-        if len(self._compactors[0]) >= self._capacity(0):
+        if len(buf) >= self._capacities()[0]:
             self._compress()
 
     def update_many(self, values) -> None:

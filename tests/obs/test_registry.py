@@ -20,6 +20,15 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter("x_total").inc(-1)
 
+    def test_rejects_nan_increments(self):
+        c = Counter("x_total")
+        c.inc(2)
+        with pytest.raises(ValueError):
+            c.inc(float("nan"))
+        assert c.value == 2
+        c.inc()
+        assert c.value == 3
+
 
 class TestGauge:
     def test_set_inc_dec(self):

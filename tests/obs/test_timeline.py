@@ -1,6 +1,7 @@
 """TimelineRecorder: windowed snapshots, range queries, concurrency."""
 
 import json
+import sys
 import threading
 import time
 import urllib.request
@@ -331,6 +332,53 @@ class TestConcurrentAccess:
             assert set(window.kinds) >= set(window.counters)
         merged = rec.query("lat0")
         assert merged.count == merged.sketch.n > 0
+
+    def test_buffered_observes_land_in_exactly_one_window(self):
+        # Four threads observe one value at a time (the buffered path)
+        # while a fifth ticks: every observation lands in exactly one
+        # window, none lost or doubled at a tick boundary.
+        registry = MetricsRegistry()
+        clock = ManualClock()
+        rec = TimelineRecorder(registry=registry, interval=1.0, max_windows=100_000,
+                               clock=clock)
+        hist = registry.histogram("lat_seconds", "t")
+        rec.tick(clock.advance(1.0))  # attach the mirror before any observation
+        per_thread = 20_000
+        done = threading.Barrier(5)
+        errors: list[BaseException] = []
+
+        def writer(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            try:
+                for value in rng.lognormal(size=per_thread).tolist():
+                    hist.observe(value)
+                done.wait(timeout=60.0)
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # preempt often, mid-observe included
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 60.0
+            while done.n_waiting < 4 and time.monotonic() < deadline:
+                rec.tick(clock.advance(1.0))
+            open_window = hist._take_window()
+            done.wait(timeout=5.0)
+            for thread in threads:
+                thread.join(timeout=5.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        windows = rec.windows()
+        assert len(windows) > 2
+        published = sum(w.histograms[("lat_seconds", ())].n
+                        for w in windows if ("lat_seconds", ()) in w.histograms)
+        assert published + open_window.n == 4 * per_thread
+        assert hist.count == 4 * per_thread
 
 
 class TestSeriesEdgeCases:
