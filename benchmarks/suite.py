@@ -25,6 +25,8 @@ Tags:
   ``obs/observe_inline`` is the per-request path (one ``observe`` +
   one ``inc`` per value on labelled series, a tick per window),
   ``obs/timeline_query`` folds window KLL partials for range quantiles,
+  ``obs/timeline_series`` is one dashboard ``/timeline`` poll (per-window
+  p50/p99 points over a full ring, three labelled series),
   ``obs/alert_eval`` runs full alert-engine evaluation passes (threshold,
   p99 SLO, KLL drift, change-point) against a prebuilt timeline;
 - ``store`` — the durable sketch store (the A12 persistence plane):
@@ -200,6 +202,13 @@ TIMELINE_OBS = 2_000
 TIMELINE_QUERIES = 64
 ALERT_EVALS = 16
 
+#: dashboard poll shape: a full ring of windows, labelled series with
+#: these observations per window (the live benchmark's routes), and
+#: polls per timed run.
+POLL_WINDOWS = 60
+POLL_OBS = (80, 100, 120)
+POLL_REPEATS = 32
+
 #: inline instrumentation shape: labelled routes, windows, and values
 #: each route observes per window (one observe + inc per value).
 INLINE_ROUTES = 16
@@ -235,6 +244,7 @@ FAST_IDS = frozenset({
     "obs/timeline_record",
     "obs/observe_inline",
     "obs/timeline_query",
+    "obs/timeline_series",
     "obs/alert_eval",
     "store/append",
     "store/query",
@@ -523,6 +533,40 @@ def build_runner(
             "windows": TIMELINE_WINDOWS,
             "obs_per_window": TIMELINE_OBS,
             "queries": TIMELINE_QUERIES,
+        },
+        tags=tags_for(cid, "obs"),
+    )
+
+    cid = "obs/timeline_series"
+
+    def series_prepare(ctx):
+        registry, recorder, clock = _timeline_fixture(max_windows=POLL_WINDOWS)
+        hists = [registry.histogram("bench_lat_seconds", "Poll bench.", route=f"r{i}")
+                 for i in range(len(POLL_OBS))]
+        recorder.tick()  # attach the window mirrors
+        for _ in range(POLL_WINDOWS):
+            for hist, n in zip(hists, POLL_OBS):
+                hist.observe_many(ctx.rng.lognormal(mean=-5.0, sigma=0.5, size=n))
+            clock[0] += 1.0
+            recorder.tick()
+        return recorder
+
+    def series_run(_, recorder):
+        # One poll = the /timeline points of every labelled series: a
+        # one-window fold per bucket, then p50/p99 from each.
+        for _ in range(POLL_REPEATS):
+            for i in range(len(POLL_OBS)):
+                recorder.series("bench_lat_seconds", quantiles=(0.5, 0.99), route=f"r{i}")
+
+    runner.add(
+        cid, "Timeline",
+        run=series_run,
+        prepare=series_prepare,
+        n_items=POLL_REPEATS,
+        params={
+            "windows": POLL_WINDOWS,
+            "obs_per_window": list(POLL_OBS),
+            "polls": POLL_REPEATS,
         },
         tags=tags_for(cid, "obs"),
     )

@@ -271,8 +271,10 @@ class SketchHistogram:
         self._mirror_from = 0
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
+        """Record one observation (NaN raises ``ValueError``)."""
         value = float(value)
+        if value != value:
+            raise ValueError("cannot observe NaN")
         with self._lock:
             pending = self._pending
             pending.append(value)
@@ -285,6 +287,8 @@ class SketchHistogram:
         values = [float(v) for v in values]
         if not values:
             return
+        if any(v != v for v in values):
+            raise ValueError("cannot observe NaN")
         with self._lock:
             self._pending.extend(values)
             self._sum += sum(values)

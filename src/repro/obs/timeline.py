@@ -192,18 +192,26 @@ class RangeResult:
         )
 
 
-def _merge_partials(partials: list):
-    """Fold window KLL partials without re-entering the obs hooks.
+def fold_partials(parts: list):
+    """k-way fold of window partials through ``_merge_many_impl``, hook-free.
 
-    Goes straight to ``_merge_many_impl`` (the PR 2 k-way kernel): the
-    timeline merging its own telemetry must not pollute the very
-    registry it records (a query would otherwise count as KLL
-    ``merge_many`` traffic).  Inputs are never mutated.
+    One part comes back as is — possibly a published ring partial, with
+    its cached read view — so callers must not mutate a fold result.
+    Families without a kernel fold pairwise into the first part (only
+    store reads, over copies fresh from disk).  None for no parts.
     """
-    parts = [p for p in partials if p is not None]
+    parts = [p for p in parts if p is not None]
     if not parts:
         return None
-    return type(parts[0])._merge_many_impl(parts)
+    if len(parts) == 1:
+        return parts[0]
+    impl = getattr(type(parts[0]), "_merge_many_impl", None)
+    if impl is not None:
+        return impl(parts)
+    first = parts[0]
+    for other in parts[1:]:
+        first.merge(other)
+    return first
 
 
 class TimelineRecorder:
@@ -608,7 +616,7 @@ class TimelineRecorder:
                 result.values.append((window.start, window.gauges[key]))
             elif key in window.histograms:
                 partials.append(window.histograms[key])
-        result.sketch = _merge_partials(partials)
+        result.sketch = fold_partials(partials)
         return result
 
     def series(
@@ -656,7 +664,7 @@ class TimelineRecorder:
             bucket = buckets[index]
             point: dict[str, Any] = {"t": index * step}
             if bucket["kind"] == "histogram":
-                merged = _merge_partials(bucket["partials"])
+                merged = fold_partials(bucket["partials"])
                 point["count"] = merged.n if merged is not None else 0
                 point["quantiles"] = {
                     str(q): (merged.quantile(q) if merged is not None and merged.n else None)

@@ -18,6 +18,8 @@ merging concatenates compactor levels and re-compacts.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
+from itertools import chain
 
 import numpy as np
 
@@ -73,6 +75,7 @@ def bulk_insert(sketch, values) -> int:
         seq = [float(v) for v in values]
     total = len(seq)
     pos = 0
+    sketch._view = None
     while pos < total:
         buf = sketch._compactors[0]
         cap = sketch._capacity(0)
@@ -86,11 +89,45 @@ def bulk_insert(sketch, values) -> int:
             sketch._compress()
     return total
 
+
+def sorted_view(sketch) -> tuple[list, list, int]:
+    """``(values, cum_weights, finite)`` of a compactor stack, cached as ``_view``.
+
+    Values ascend (stable sort, NaN last); level ℓ weighs 2^ℓ; ``finite``
+    counts the non-NaN values.  Every mutation resets ``_view`` to None.
+    """
+    view = sketch._view
+    if view is None:
+        sizes = [len(buf) for buf in sketch._compactors]
+        values = np.fromiter(chain.from_iterable(sketch._compactors), np.float64, sum(sizes))
+        weights = np.repeat(np.left_shift(1, np.arange(len(sizes))), sizes)
+        order = np.argsort(values, kind="stable")
+        values = values[order]
+        finite = len(values) - int(np.count_nonzero(np.isnan(values)))
+        view = sketch._view = (values.tolist(), np.cumsum(weights[order]).tolist(), finite)
+    return view
+
+
+def view_rank(view, value: float) -> float:
+    """Total weight of the non-NaN values ≤ ``value`` (0 for a NaN ``value``)."""
+    values, cum, finite = view
+    i = bisect_right(values, value, 0, finite if value == value else 0)
+    return float(cum[i - 1]) if i else 0.0
+
+
+def view_quantile(view, target: float) -> float:
+    """First value whose cumulative weight reaches ``target``, else the last."""
+    values, cum, _ = view
+    return values[min(bisect_left(cum, target), len(values) - 1)]
+
 _CAPACITY_DECAY = 2.0 / 3.0
 
 
 class KLLSketch(QuantileSketch):
-    """KLL sketch with parameter ``k`` (top-compactor capacity)."""
+    """KLL sketch with parameter ``k`` (top-compactor capacity).
+
+    Reads bisect a sorted view (:func:`sorted_view`) cached until the next mutation.
+    """
 
     def __init__(self, k: int = 200, seed: int = 0) -> None:
         if k < 8:
@@ -101,6 +138,7 @@ class KLLSketch(QuantileSketch):
         self._compactors: list[list[float]] = [[]]
         # Per-level capacities for the current height (see _capacities).
         self._caps: list[int] = []
+        self._view = None
         self.n = 0
 
     # -- internals ------------------------------------------------------------
@@ -143,6 +181,7 @@ class KLLSketch(QuantileSketch):
         self._compactors[level + 1].extend(promoted)
 
     def _compress(self) -> None:
+        self._view = None
         compactors = self._compactors
         caps = self._capacities()
         level = 0
@@ -159,6 +198,7 @@ class KLLSketch(QuantileSketch):
         buf = self._compactors[0]
         buf.append(float(value))
         self.n += 1
+        self._view = None
         if len(buf) >= self._capacities()[0]:
             self._compress()
 
@@ -167,30 +207,15 @@ class KLLSketch(QuantileSketch):
         self.n += bulk_insert(self, values)
 
     def rank(self, value: float) -> float:
-        """Estimated number of items ≤ value (weighted count)."""
+        """Estimated number of items ≤ value (weighted count; a stored NaN never counts)."""
         self._require_data()
-        total = 0.0
-        for level, buf in enumerate(self._compactors):
-            weight = 1 << level
-            total += weight * sum(1 for v in buf if v <= value)
-        return total
+        return view_rank(sorted_view(self), value)
 
     def quantile(self, q: float) -> float:
-        """Value at normalized rank q via the weighted item list."""
+        """Value at normalized rank q: the first whose cumulative weight reaches q·n."""
         self._check_q(q)
         self._require_data()
-        weighted: list[tuple[float, int]] = []
-        for level, buf in enumerate(self._compactors):
-            weight = 1 << level
-            weighted.extend((v, weight) for v in buf)
-        weighted.sort(key=lambda vw: vw[0])
-        target = q * self.n
-        acc = 0.0
-        for v, w in weighted:
-            acc += w
-            if acc >= target:
-                return v
-        return weighted[-1][0]
+        return view_quantile(sorted_view(self), q * self.n)
 
     def rank_error_bound(self) -> float:
         """Normalized rank error ε at 99% confidence (≈ 2.296 / k^0.93).

@@ -28,6 +28,7 @@ import random
 from ..core.serde import pack_rng_state, unpack_rng_state
 from .base import QuantileSketch
 from .kll import bulk_insert, footprint_of, levels_from_state, levels_to_state
+from .kll import sorted_view, view_quantile, view_rank
 
 __all__ = ["ReqSketch"]
 
@@ -41,6 +42,8 @@ class ReqSketch(QuantileSketch):
         Compactor capacity (even).  Larger k = tighter error.
     seed:
         Randomizes compaction parity.
+
+    Reads bisect the cached sorted view shared with :class:`KLLSketch`.
     """
 
     def __init__(self, k: int = 64, seed: int = 0) -> None:
@@ -50,6 +53,7 @@ class ReqSketch(QuantileSketch):
         self.seed = seed
         self._rng = random.Random(seed)
         self._compactors: list[list[float]] = [[]]
+        self._view = None
         self.n = 0
 
     def _capacity(self, level: int) -> int:
@@ -59,6 +63,7 @@ class ReqSketch(QuantileSketch):
         """Insert one value."""
         self._compactors[0].append(float(value))
         self.n += 1
+        self._view = None
         if len(self._compactors[0]) >= self._capacity(0):
             self._compress()
 
@@ -67,6 +72,7 @@ class ReqSketch(QuantileSketch):
         self.n += bulk_insert(self, values)
 
     def _compress(self) -> None:
+        self._view = None
         level = 0
         while level < len(self._compactors):
             buf = self._compactors[level]
@@ -87,32 +93,17 @@ class ReqSketch(QuantileSketch):
         self._compactors[level] = list(high)
         self._compactors[level + 1].extend(promoted)
 
-    def _weighted(self) -> list[tuple[float, int]]:
-        items: list[tuple[float, int]] = []
-        for level, buf in enumerate(self._compactors):
-            weight = 1 << level
-            items.extend((v, weight) for v in buf)
-        items.sort(key=lambda vw: vw[0])
-        return items
-
     def rank(self, value: float) -> float:
         """Estimated number of items ≤ value."""
         self._require_data()
-        return float(sum(w for v, w in self._weighted() if v <= value))
+        return view_rank(sorted_view(self), value)
 
     def quantile(self, q: float) -> float:
-        """Value at normalized rank q (tightest at q → 1)."""
+        """Value at normalized rank q (tightest at q → 1) of the total retained weight."""
         self._check_q(q)
         self._require_data()
-        items = self._weighted()
-        total = sum(w for _, w in items)
-        target = q * total
-        acc = 0
-        for v, w in items:
-            acc += w
-            if acc >= target:
-                return v
-        return items[-1][0]
+        view = sorted_view(self)
+        return view_quantile(view, q * view[1][-1])
 
     @property
     def size(self) -> int:

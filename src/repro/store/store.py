@@ -43,7 +43,7 @@ from ..core.base import Sketch, sketch_registry
 from ..core.exceptions import DeserializationError
 from ..core.serde import dump_sketch, load_header
 from ..obs.registry import MetricsRegistry, get_registry
-from ..obs.timeline import RangeResult
+from ..obs.timeline import RangeResult, fold_partials
 from .segment import SegmentReader, SegmentWriter, series_key
 
 __all__ = ["SketchStore"]
@@ -83,28 +83,6 @@ def decode_partial(blob: bytes) -> Sketch:
         raise DeserializationError(
             f"corrupt {class_name} state: {type(exc).__name__}: {exc}"
         ) from exc
-
-
-def fold_partials(parts: list):
-    """k-way fold of sketch partials via ``_merge_many_impl`` when available.
-
-    Families without a vectorized kernel fold pairwise into the first
-    part (queries revive fresh copies from disk, so mutation is safe).
-    Returns None for an empty list.
-    """
-    parts = [p for p in parts if p is not None]
-    if not parts:
-        return None
-    if len(parts) == 1:
-        return parts[0]
-    cls = type(parts[0])
-    impl = getattr(cls, "_merge_many_impl", None)
-    if impl is not None:
-        return impl(parts)
-    first = parts[0]
-    for other in parts[1:]:
-        first.merge(other)
-    return first
 
 
 class SketchStore:

@@ -317,6 +317,122 @@ class TestAlertsEndpoint:
         assert 'id="alerts"' in body and "alertCard" in body
 
 
+class TestReadsLeavePartialsUntouched:
+    """Reads fold published partials without copying them, and never mutate one.
+
+    A fold of one window returns that window's partial itself, so every
+    read path (``/timeline`` per metric and ``all=1``, ``/query``, an
+    alert pass) must leave the ring's partials and the ones revived from
+    the store byte-identical.
+    """
+
+    ROUTES = ("a", "b", "c")
+
+    def test_timeline_query_and_alert_pass(self, tmp_path, monkeypatch):
+        from repro.obs import (
+            AlertEngine,
+            ChangePointRule,
+            DriftRule,
+            QuantileRule,
+            ThresholdRule,
+            TimelineRecorder,
+        )
+        from repro.quantiles import KLLSketch
+        from repro.store import SketchStore
+
+        registry = MetricsRegistry()
+        clock = [1000.0]
+        recorder = TimelineRecorder(registry=registry, interval=1.0, max_windows=8,
+                                    clock=lambda: clock[0])
+        store = SketchStore(str(tmp_path / "db"), partition_seconds=4.0,
+                            registry=MetricsRegistry())
+        recorder.attach_store(store)
+        hists = [registry.histogram("lat_seconds", route=r) for r in self.ROUTES]
+        counters = [registry.counter("ops_total", route=r) for r in self.ROUTES]
+        rng = np.random.default_rng(11)
+        recorder.tick(clock[0])
+        for _ in range(20):
+            for i, (hist, counter) in enumerate(zip(hists, counters)):
+                n = int(rng.integers(20, 120))
+                hist.observe_many(rng.lognormal(-5.0 + 0.2 * i, 0.5, n))
+                counter.inc(n)
+            clock[0] += 1.0
+            recorder.tick(clock[0])
+        labels = {"route": "a"}
+        engine = AlertEngine(recorder, rules=[
+            ThresholdRule("rate", "ops_total", threshold=1e9, over=3, labels=labels),
+            QuantileRule("p99", "lat_seconds", threshold=1e9, q=0.99, over=3,
+                         labels=labels),
+            DriftRule("drift", "lat_seconds", baseline_windows=12, recent_windows=3,
+                      min_count=1, labels=labels),
+            ChangePointRule("change", "ops_total", trailing=6, min_history=3,
+                            labels=labels),
+        ], registry=MetricsRegistry(), clock=lambda: clock[0])
+
+        revived = []
+        window_from_record = recorder._window_from_record
+
+        def recording(record):
+            window = window_from_record(record)
+            revived.append((window, self.snapshot([window])))
+            return window
+
+        monkeypatch.setattr(recorder, "_window_from_record", recording)
+        ring = recorder.windows()
+        before = self.snapshot(ring)
+        since, until = clock[0] - 15.0, clock[0]
+        # The answers a one-window bucket gave when every fold copied.
+        covered = recorder.windows(since, until)
+        expected = {}
+        for route in self.ROUTES:
+            key = ("lat_seconds", (("route", route),))
+            for window in covered:
+                part = window.histograms[key]
+                caps = part._capacities()
+                assert all(len(buf) < cap for buf, cap in zip(part._compactors, caps))
+                copy = KLLSketch._merge_many_impl([part])
+                expected[route, window.start] = {
+                    "count": copy.n,
+                    "quantiles": {"0.5": copy.quantile(0.5), "0.99": copy.quantile(0.99)},
+                }
+        revived.clear()
+
+        srv = ObsServer(port=0, registry=registry, timeline=recorder, alerts=engine)
+        srv.start()
+        try:
+            timeline_url = (srv.url + f"/timeline?metric=lat_seconds&since={since!r}"
+                            f"&until={until!r}&q=0.5,0.99")
+            polls = [json.loads(fetch(timeline_url)[1]) for _ in range(2)]
+            status, _, _ = fetch(srv.url + f"/timeline?all=1&since={since!r}")
+            assert status == 200
+            status, _, _ = fetch(srv.url + f"/query?metric=lat_seconds&since={since!r}"
+                                 "&group_by=route&q=0.5,0.99")
+            assert status == 200
+            engine.evaluate(clock[0])
+            engine.evaluate(clock[0])
+        finally:
+            srv.stop()
+            store.close()
+
+        assert all(status["errors"] == 0 for status in engine.as_dict(history=0)["rules"])
+        assert self.snapshot(ring) == before
+        assert revived
+        for window, blobs in revived:
+            assert self.snapshot([window]) == blobs
+        for doc in polls:
+            for series in doc["series"]:
+                points = series["points"]
+                assert len(points) == len(covered)
+                for point in points:
+                    want = expected[series["labels"]["route"], point["t"]]
+                    assert {"count": point["count"], "quantiles": point["quantiles"]} == want
+
+    @staticmethod
+    def snapshot(windows) -> list:
+        return [(window.start, key, part.to_bytes())
+                for window in windows for key, part in sorted(window.histograms.items())]
+
+
 class TestErrorEnvelope:
     """Every endpoint's error paths speak {"error": ..., "param": ...}."""
 

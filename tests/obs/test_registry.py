@@ -48,6 +48,21 @@ class TestSketchHistogram:
         assert h.sum == pytest.approx(15.0)
         assert 2.0 <= h.quantile(0.5) <= 4.0
 
+    def test_rejects_nan_observations(self):
+        h = SketchHistogram("lat_seconds")
+        h.observe_many([1.0, 2.0])
+        h.observe(3.0)
+        before = (h._kll.to_bytes(), list(h._pending), h.sum)
+        with pytest.raises(ValueError):
+            h.observe(float("nan"))
+        with pytest.raises(ValueError):
+            h.observe(np.float64("nan"))
+        with pytest.raises(ValueError):
+            h.observe_many([4.0, float("nan"), 5.0])
+        assert (h._kll.to_bytes(), list(h._pending), h.sum) == before
+        assert h.count == 3
+        assert h.quantile(1.0) == 3.0
+
     def test_empty_quantile_is_nan(self):
         h = SketchHistogram("lat_seconds")
         assert np.isnan(h.quantile(0.5))
