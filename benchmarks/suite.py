@@ -34,6 +34,11 @@ Tags:
   (serde encode + framing + buffered write per window),
   ``store/query`` answers range + GROUP BY reads from sealed segments
   (index lookup, partial decode, k-way fold);
+- ``streaming`` — GROUP BY ingest (the paper's §3 workload, E9):
+  ``streaming/groupby_hll`` is one ``GroupBySketcher.process_many``
+  batch of int flow keys over Zipf-distributed sources into per-source
+  HyperLogLogs — the per-window GROUP BY of the ``flows`` end-to-end
+  workload;
 - ``fast`` — the curated ~20-case subset the CI regression gate runs
   (~seconds, not minutes).
 
@@ -67,6 +72,7 @@ from repro.parallel import SketchSpec, parallel_build, partition_items
 from repro.quantiles import KLLSketch, ReqSketch, TDigest
 from repro.sampling import ReservoirSampler
 from repro.store import SketchStore
+from repro.streaming import GroupBySketcher
 from repro.workloads import uniform_stream, zipf_stream
 
 N_SCALAR = 20_000
@@ -224,6 +230,12 @@ STORE_SHARDS = 4
 STORE_QUERIES = 32
 STORE_PARTITION = 8.0
 
+#: GROUP BY shape: records per process_many batch, Zipf(1.1) sources
+#: (one HLL group each) and destination bits of each int flow key.
+GROUPBY_RECORDS = 70_000
+GROUPBY_SOURCES = 512
+GROUPBY_DEST_BITS = 20
+
 #: the curated CI subset — quick, covers scalar/batch/merge/serde,
 #: the concurrent wrapper at 1 and 4 writer threads, and the timeline.
 FAST_IDS = frozenset({
@@ -248,7 +260,13 @@ FAST_IDS = frozenset({
     "obs/alert_eval",
     "store/append",
     "store/query",
+    "streaming/groupby_hll",
 })
+
+
+def _source_of(key):
+    """GROUP BY key of a flow record: its source (high 32 bits)."""
+    return key >> 32
 
 
 def _timeline_fixture(max_windows=TIMELINE_WINDOWS):
@@ -687,6 +705,31 @@ def build_runner(
             "partition_seconds": STORE_PARTITION,
         },
         tags=tags_for(cid, "store"),
+    )
+
+    cid = "streaming/groupby_hll"
+
+    def groupby_prepare(ctx):
+        sources = zipf_stream(GROUPBY_RECORDS, n_items=GROUPBY_SOURCES, skew=1.1,
+                              seed=ctx.seed)
+        dests = ctx.rng.integers(0, 1 << GROUPBY_DEST_BITS, size=GROUPBY_RECORDS)
+        return ((np.asarray(sources, dtype=np.int64) << 32) | dests).tolist()
+
+    def groupby_run(gb, keys):
+        # One window's GROUP BY: group ids, the stable partition and
+        # every group's HLL update from one batch of Python int keys.
+        gb.process_many(keys)
+
+    runner.add(
+        cid, "GroupBySketcher",
+        run=groupby_run,
+        prepare=groupby_prepare,
+        setup=lambda keys: GroupBySketcher(_source_of, lambda: HyperLogLog(p=10, seed=0)),
+        n_items=GROUPBY_RECORDS,
+        params={"records": GROUPBY_RECORDS, "sources": GROUPBY_SOURCES,
+                "zipf": 1.1, "p": 10},
+        footprint=lambda gb, _: sum(sk.memory_footprint() for _, sk in gb.items()),
+        tags=tags_for(cid, "streaming", "throughput"),
     )
 
     return runner

@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from ..core import Estimate, MergeableSketch, z_score
-from ..core.batch import canonical_keys, hll_registers
+from ..core.batch import canonical_keys, hll_registers, register_update
 from ..hashing import HashFunction
 from .loglog import rho64
 
@@ -100,15 +100,13 @@ class HyperLogLog(MergeableSketch):
         State is identical to per-item :meth:`update` calls for any
         iterable of sketchable items, not just numpy integer arrays.
         """
-        if not self._hash.supports_key_hashing:
-            for item in items:
-                self.update(item)
-            return
         keys = canonical_keys(items)
-        if len(keys) == 0:
-            return
-        idx, rho = hll_registers(self._hash.hash_keys(keys), self.p, self._max_rho)
-        np.maximum.at(self._registers, idx, rho)
+        register_update([self], keys, (0, len(keys)))
+
+    @classmethod
+    def _update_grouped_impl(cls, sketches: list, items, bounds) -> None:
+        """GROUP BY batch: one canonicalize, hash and register pass for all groups."""
+        register_update(sketches, canonical_keys(items), bounds)
 
     # -- queries ----------------------------------------------------------
 
@@ -196,6 +194,9 @@ class HyperLogLogPlusPlus(HyperLogLog):
 
     #: sparse-mode effective precision (Google uses p' = 25).
     SPARSE_P = 25
+
+    # Sparse mode is order-dependent: GROUP BY keeps per-group update_many.
+    _update_grouped_impl = MergeableSketch._update_grouped_impl
 
     def __init__(self, p: int = 12, seed: int = 0) -> None:
         super().__init__(p=p, seed=seed)

@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from ..core import MergeableSketch
+from ..core.batch import canonical_keys, register_update
 from ..hashing import HashFunction
 
 __all__ = ["LogLog"]
@@ -62,6 +63,16 @@ class LogLog(MergeableSketch):
         r = rho64(rest, self._max_rho)
         if r > self._registers[idx]:
             self._registers[idx] = r
+
+    def update_many(self, items) -> None:
+        """Bulk update: canonicalize once, then the vectorized register kernel."""
+        keys = canonical_keys(items)
+        register_update([self], keys, (0, len(keys)))
+
+    @classmethod
+    def _update_grouped_impl(cls, sketches: list, items, bounds) -> None:
+        """GROUP BY batch: one canonicalize, hash and register pass for all groups."""
+        register_update(sketches, canonical_keys(items), bounds)
 
     def estimate(self) -> float:
         """Geometric-mean estimate ``α_m · m · 2^(mean register)``.

@@ -167,6 +167,37 @@ class Sketch(ABC):
         for item in items:
             self.update(item)
 
+    @classmethod
+    def update_grouped(cls, sketches: list, items, bounds) -> None:
+        """GROUP BY batch update: ``sketches[i]`` takes ``items[bounds[i]:bounds[i + 1]]``.
+
+        Dispatches on the first sketch's class, like :meth:`MergeableSketch.merge_many`.
+        The default runs each sketch's own ``update_many`` on its slice (so
+        also non-:class:`Sketch` objects that have one); a family kernel
+        overriding :meth:`_update_grouped_impl` counts as one ``update_many``
+        op over all the items, traced as one ``<Class>.update_grouped`` span.
+        """
+        first = sketches[0]
+        kernel = getattr(type(first), "_update_grouped_impl", Sketch._update_grouped_impl)
+        if not _HOT.flag or kernel.__func__ is Sketch._update_grouped_impl.__func__:
+            kernel(sketches, items, bounds)
+            return
+        n, ctx = len(items), nullcontext()
+        if _TRACE.enabled:
+            name = f"{type(first).__name__}.update_grouped"
+            ctx = _get_tracer().span(name, items=n, groups=len(sketches))
+        start = time.perf_counter()
+        with ctx:
+            kernel(sketches, items, bounds)
+        if _OBS.enabled:
+            first._observe("update_many", n, time.perf_counter() - start)
+
+    @classmethod
+    def _update_grouped_impl(cls, sketches: list, items, bounds) -> None:
+        """Kernel behind :meth:`update_grouped` (override me): per-slice ``update_many``."""
+        for sketch, lo, hi in zip(sketches, bounds, bounds[1:]):
+            sketch.update_many(items[lo:hi])
+
     @abstractmethod
     def state_dict(self) -> dict:
         """Return the complete serializable state of the sketch."""

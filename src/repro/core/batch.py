@@ -42,7 +42,8 @@ Per-family support matrix
 ==========================  ===============================================
 family                      batch strategy
 ==========================  ===============================================
-HyperLogLog                 vectorized register kernel (:func:`hll_registers`)
+HyperLogLog / LogLog        vectorized register kernel (:func:`register_update`),
+                            one hash pass per GROUP BY batch
 HyperLogLogPlusPlus         vectorized hashing; sparse inserts from the hash
                             array, switching to the dense kernel mid-batch
 CountMinSketch              per-row ``np.add.at`` scatter; conservative
@@ -57,6 +58,8 @@ KMVSketch                   hash batch → k smallest distinct via ``np.unique``
 KLLSketch / ReqSketch       buffered bulk insert into compactor 0
 AMSSketch                   chunked ±1 sign matrix × weight vector
 StreamPipeline.feed         batched operator dispatch via ``process_many``
+GroupBySketcher             one stable partition of the batch by group,
+                            then ``Sketch.update_grouped``
 ConcurrentSketch            routes batches to the thread-local replica
 ==========================  ===============================================
 """
@@ -67,9 +70,10 @@ import numpy as np
 
 from ..hashing import item_to_u64
 
-__all__ = ["canonical_keys", "canonical_weights", "hll_registers"]
+__all__ = ["canonical_keys", "canonical_weights", "hll_registers", "register_update"]
 
 _I63_MAX = 1 << 63
+_EXACT_INT = {int}
 
 
 def canonical_keys(items) -> np.ndarray:
@@ -79,8 +83,9 @@ def canonical_keys(items) -> np.ndarray:
     so hashing it with ``HashFunction.hash_keys`` is bitwise identical
     to the scalar per-item path.  1-D numpy integer arrays whose values
     fit the fast path (non-negative, below ``2^63``) convert without a
-    Python loop; everything else routes each element through
-    :func:`~repro.hashing.item_to_u64`.
+    Python loop, as do lists of exact ``int`` (no ``bool`` or subclass)
+    in that range, on which ``item_to_u64`` is the identity.  Everything
+    else routes each element through :func:`~repro.hashing.item_to_u64`.
 
     Raises ``TypeError`` for items outside the canonicalizable set
     (same contract as scalar updates, but before any state mutation).
@@ -102,6 +107,14 @@ def canonical_keys(items) -> np.ndarray:
     except TypeError:
         items = list(items)
         n = len(items)
+    if isinstance(items, list) and set(map(type, items)) == _EXACT_INT:
+        try:
+            keys = np.array(items, dtype=np.int64)
+        except OverflowError:  # an int at or above 2^63
+            pass
+        else:
+            if int(keys.min()) >= 0:
+                return keys.view(np.uint64)
     return np.fromiter((item_to_u64(x) for x in items), dtype=np.uint64, count=n)
 
 
@@ -146,3 +159,21 @@ def hll_registers(
     tz[nonzero] = np.log2(low[nonzero].astype(np.float64))
     rho = np.where(nonzero, (tz + 1).astype(np.uint8), np.uint8(max_rho + 1))
     return idx, rho
+
+
+def register_update(sketches: list, keys: np.ndarray, bounds) -> None:
+    """Scatter canonical ``keys`` into HyperLogLog/LogLog register files.
+
+    ``sketches[i]`` takes ``keys[bounds[i]:bounds[i + 1]]``.  All keys are
+    hashed and split into (index, ρ) once, so every sketch must be
+    mergeable with the first (checked before any register changes); one
+    ``np.maximum.at`` per sketch applies its slice.
+    """
+    first = sketches[0]
+    for other in sketches[1:]:
+        first._check_mergeable(other, "p", "seed")
+    if len(keys) == 0:
+        return
+    idx, rho = hll_registers(first._hash.hash_keys(keys), first.p, first._max_rho)
+    for sketch, lo, hi in zip(sketches, bounds, bounds[1:]):
+        np.maximum.at(sketch._registers, idx[lo:hi], rho[lo:hi])

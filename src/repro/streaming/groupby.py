@@ -16,7 +16,9 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from typing import Any
 
-from ..core import MergeableSketch
+import numpy as np
+
+from ..core import MergeableSketch, Sketch
 
 __all__ = ["GroupBySketcher"]
 
@@ -60,33 +62,40 @@ class GroupBySketcher:
         self.n_records += 1
 
     def process_many(self, records: list) -> None:
-        """Batched dispatch: partition records by group, bulk-update each.
+        """Batched dispatch: partition the batch by group, then one grouped update.
 
-        With the default update function each group's record list goes
-        through the sketch's ``update_many`` (order within a group is
-        preserved, so the per-group state matches per-record
-        processing).  Custom update functions fall back to the
-        per-record path.
+        With the default update function, records map to group ids in
+        first-appearance order (new sketches are created in that order), a
+        stable ``argsort`` reorders the same record objects by group, and one
+        :meth:`~repro.core.Sketch.update_grouped` call updates every group
+        from its slice: each group ends as per-record :meth:`process` would
+        leave it.  Custom update functions take the per-record path.
         """
         if not self._default_update:
             for record in records:
                 self.process(record)
             return
-        grouped: dict[Any, list] = {}
-        group_fn = self.group_fn
-        for record in records:
-            key = group_fn(record)
-            bucket = grouped.get(key)
-            if bucket is None:
-                grouped[key] = [record]
-            else:
-                bucket.append(record)
-        for key, recs in grouped.items():
+        if not len(records):
+            return
+        group_keys = list(map(self.group_fn, records))
+        ids = {key: gid for gid, key in enumerate(dict.fromkeys(group_keys))}
+        # The narrowest unsigned dtype lets numpy's stable sort use radix sort.
+        gids = np.fromiter(
+            map(ids.__getitem__, group_keys),
+            dtype=np.min_scalar_type(len(ids)),
+            count=len(group_keys),
+        )
+        order = np.argsort(gids, kind="stable")
+        ordered = np.fromiter(records, dtype=object, count=len(records))[order].tolist()
+        bounds = [0, *np.bincount(gids, minlength=len(ids)).cumsum().tolist()]
+        sketches = []
+        for key in ids:
             sketch = self._groups.get(key)
             if sketch is None:
                 sketch = self.sketch_factory()
                 self._groups[key] = sketch
-            sketch.update_many(recs)
+            sketches.append(sketch)
+        Sketch.update_grouped(sketches, ordered, bounds)
         self.n_records += len(records)
 
     def get(self, key: Any) -> Any | None:

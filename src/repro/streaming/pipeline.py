@@ -13,6 +13,7 @@ import os
 import time
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
+from itertools import islice
 from typing import Any
 
 from ..obs.registry import STATE as _OBS
@@ -56,6 +57,9 @@ class StreamPipeline:
         return self
 
     def __iter__(self) -> Iterator[Any]:
+        if not self._stages:
+            return iter(self._source)
+
         def generate() -> Iterator[Any]:
             for record in self._source:
                 items = [record]
@@ -75,13 +79,13 @@ class StreamPipeline:
     def feed(self, *operators, batch_size: int = 512) -> int:
         """Drive every record into the given operators.
 
-        Records are dispatched in batches of up to ``batch_size``:
-        operators exposing ``process_many(records)`` receive the whole
-        batch (amortizing per-record dispatch and unlocking the
-        sketches' vectorized ``update_many`` paths), while plain
-        operators get per-record ``process`` calls.  Each operator
-        still sees every record in stream order; returns the number of
-        records delivered.
+        Records are dispatched in batches of up to ``batch_size``, cut
+        from the stream with ``islice`` (straight from the source when
+        there are no stages): operators exposing ``process_many(records)``
+        receive the whole batch (e.g. one grouped update per batch in
+        :class:`~repro.streaming.GroupBySketcher`), while plain operators
+        get per-record ``process`` calls.  Each operator still sees every
+        record in stream order; returns the number of records delivered.
 
         With :mod:`repro.obs.trace` enabled, the call emits a
         ``pipeline.feed`` root span plus one ``pipeline.feed_batch``
@@ -109,15 +113,8 @@ class StreamPipeline:
                         op.process(record)
                     count += 1
             else:
-                buffer: list[Any] = []
-                for record in self:
-                    buffer.append(record)
-                    if len(buffer) >= batch_size:
-                        self._dispatch(operators, batched, buffer, batches, tracing)
-                        count += len(buffer)
-                        batches += 1
-                        buffer = []
-                if buffer:
+                records = iter(self)
+                while buffer := list(islice(records, batch_size)):
                     self._dispatch(operators, batched, buffer, batches, tracing)
                     count += len(buffer)
                     batches += 1

@@ -9,7 +9,9 @@ not just estimates.
 import numpy as np
 import pytest
 
-from repro.cardinality import HyperLogLog, HyperLogLogPlusPlus, KMVSketch
+import enum
+
+from repro.cardinality import HyperLogLog, HyperLogLogPlusPlus, KMVSketch, LogLog
 from repro.core.batch import canonical_keys, canonical_weights, hll_registers
 from repro.frequency import CountMinSketch, CountSketch, SpaceSaving
 from repro.hashing import HashFamily, HashFunction, item_to_u64
@@ -72,6 +74,57 @@ class TestCanonicalKeys:
     def test_rejects_2d(self):
         with pytest.raises(TypeError):
             canonical_keys(np.zeros((2, 2), dtype=np.int64))
+
+
+class _Port(enum.IntEnum):
+    HTTP = 80
+
+
+class _MyInt(int):
+    pass
+
+
+class TestCanonicalKeysIntListFastPath:
+    """All-exact-``int`` lists convert in one step; anything else keeps item_to_u64."""
+
+    @pytest.mark.parametrize(
+        "items",
+        [
+            [0, 1, 5, 2**40, 2**63 - 1],
+            [7],
+            [1, True, 3],
+            [1, False],
+            [5, -1, 3],
+            [-(2**64), 2],
+            [1, 2**63],
+            [2**64 - 1, 0],
+            [1, np.int64(5)],
+            [1, np.uint64(2**63 + 1)],
+            [1, _MyInt(9)],
+            [1, _Port.HTTP],
+            [1, 2.0],
+        ],
+        ids=[
+            "all-int", "single", "bool-true", "bool-false", "negative",
+            "below-int64", "2^63", "2^64-1", "np.int64", "np.uint64",
+            "int-subclass", "IntEnum", "float",
+        ],
+    )
+    def test_keys_equal_item_to_u64(self, items):
+        keys = canonical_keys(items)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [item_to_u64(x) for x in items]
+
+    @pytest.mark.parametrize("factory", [
+        lambda: HyperLogLog(p=8, seed=1), lambda: LogLog(p=8, seed=1),
+    ])
+    def test_type_error_comes_before_any_state_change(self, factory):
+        sk, untouched = factory(), factory()
+        sk.update_many([3, 4])
+        untouched.update_many([3, 4])
+        with pytest.raises(TypeError):
+            sk.update_many([1, 2, object()])
+        assert_same_state(sk, untouched)
 
 
 class TestCanonicalWeights:
@@ -144,6 +197,7 @@ class TestHllRegisters:
 KEYED_FAMILIES = [
     ("hll", lambda: HyperLogLog(p=8, seed=7)),
     ("hllpp", lambda: HyperLogLogPlusPlus(p=6, seed=3)),  # converts mid-stream
+    ("loglog", lambda: LogLog(p=8, seed=7)),
     ("countmin", lambda: CountMinSketch(width=64, depth=3, seed=5)),
     ("countmin-cons", lambda: CountMinSketch(width=64, depth=3, conservative=True, seed=5)),
     ("countsketch", lambda: CountSketch(width=64, depth=3, seed=5)),

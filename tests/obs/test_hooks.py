@@ -14,6 +14,7 @@ from repro import (
     from_bytes_any,
 )
 from repro.obs import MetricsRegistry, bind_registry
+from repro.streaming import GroupBySketcher
 
 
 def counter_value(reg, name, **labels):
@@ -160,6 +161,28 @@ class TestPipelineHooks:
         StreamPipeline(range(10), registry=private).feed(Op())
         assert counter_value(private, "repro_pipeline_records_total") == 10
         assert counter_value(registry, "repro_pipeline_records_total") == 0
+
+
+class TestGroupByHooks:
+    def test_grouped_batch_counts_the_items_of_the_per_group_calls(self, registry):
+        records = list(range(1000))
+        reference = MetricsRegistry()
+        for family in (HyperLogLog, CountMinSketch):
+            gb = GroupBySketcher(lambda r: r % 7, lambda: family(seed=1))
+            gb.process_many(records)
+            for key in range(7):
+                sk = family(seed=1)
+                bind_registry(sk, reference)
+                sk.update_many([r for r in records if r % 7 == key])
+        for sketch in ("HyperLogLog", "CountMinSketch"):
+            labels = {"sketch": sketch, "op": "update_many"}
+            assert counter_value(registry, "repro_sketch_items_total", **labels) == 1000
+            assert counter_value(reference, "repro_sketch_items_total", **labels) == 1000
+        # The shared HLL kernel is one op per batch; per-group families
+        # still count one op per group.
+        ops = "repro_sketch_ops_total"
+        assert counter_value(registry, ops, sketch="HyperLogLog", op="update_many") == 1
+        assert counter_value(registry, ops, sketch="CountMinSketch", op="update_many") == 7
 
 
 class TestConcurrentHooks:

@@ -254,6 +254,20 @@ class TestPipelineAndConcurrentSpans:
         assert all(b.parent_id == root.span_id for b in batches)
         assert sorted(b.attributes["batch"] for b in batches) == [0, 1, 2, 3]
 
+    def test_grouped_kernel_emits_one_span_per_batch(self, tracer):
+        from repro.streaming import GroupBySketcher, StreamPipeline
+
+        gb = GroupBySketcher(lambda r: r % 7, lambda: HyperLogLog(p=8, seed=1))
+        StreamPipeline(range(1000)).feed(gb, batch_size=500)
+        spans = tracer.spans()
+        batches = [s for s in spans if s.name == "pipeline.feed_batch"]
+        grouped = [s for s in spans if s.name == "HyperLogLog.update_grouped"]
+        assert len(batches) == len(grouped) == 2
+        assert {s.parent_id for s in grouped} == {b.span_id for b in batches}
+        assert [s.attributes["items"] for s in grouped] == [500, 500]
+        assert [s.attributes["groups"] for s in grouped] == [7, 7]
+        assert not any(s.name == "HyperLogLog.update_many" for s in spans)
+
     def test_concurrent_compact_and_drain_spans(self, tracer):
         from repro.concurrent import ConcurrentSketch
 
