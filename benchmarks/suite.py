@@ -33,7 +33,12 @@ Tags:
   ``store/append`` persists windowed partials through segment files
   (serde encode + framing + buffered write per window),
   ``store/query`` answers range + GROUP BY reads from sealed segments
-  (index lookup, partial decode, k-way fold);
+  (index lookup, k-way fold; the repeated ranges hit the
+  decoded-window cache), ``store/query_cold`` runs the same reads on a
+  freshly opened store (each covered partial decoded once), and
+  ``store/alert_pass`` is one alert pass whose drift baseline reaches
+  past a small ring into the store, with one new window ticked before
+  it (the ``live`` workload's shape);
 - ``streaming`` — GROUP BY ingest (the paper's §3 workload, E9):
   ``streaming/groupby_hll`` is one ``GroupBySketcher.process_many``
   batch of int flow keys over Zipf-distributed sources into per-source
@@ -230,6 +235,14 @@ STORE_SHARDS = 4
 STORE_QUERIES = 32
 STORE_PARTITION = 8.0
 
+#: alert-over-store shape: a small ring with a store attached, windows
+#: of history written first, a drift baseline reaching past the ring
+#: into the store, and passes per timed run (one new window before each).
+ALERT_STORE_RING = 8
+ALERT_STORE_PREFILL = 40
+ALERT_STORE_BASELINE = 32
+ALERT_STORE_PASSES = 24
+
 #: GROUP BY shape: records per process_many batch, Zipf(1.1) sources
 #: (one HLL group each) and destination bits of each int flow key.
 GROUPBY_RECORDS = 70_000
@@ -260,6 +273,8 @@ FAST_IDS = frozenset({
     "obs/alert_eval",
     "store/append",
     "store/query",
+    "store/query_cold",
+    "store/alert_pass",
     "streaming/groupby_hll",
 })
 
@@ -676,12 +691,11 @@ def build_runner(
         ]
         return {"store": store, "ranges": ranges}
 
-    def store_query_run(_, data):
-        # Range reads hit the in-file key index, decode the covered
+    def store_query_pass(store, ranges):
+        # Range reads hit the in-file key index, read the covered
         # partials, and fold them with the k-way merge kernel; every
         # fourth range also fans out per shard through GROUP BY.
-        store = data["store"]
-        for qi, (t0, t1) in enumerate(data["ranges"]):
+        for qi, (t0, t1) in enumerate(ranges):
             result = store.query("bench_store_lat", since=t0, until=t1)
             result.quantile(0.5)
             result.quantile(0.99)
@@ -693,18 +707,85 @@ def build_runner(
                 for grouped in groups.values():
                     grouped.quantile(0.99)
 
+    store_params = {
+        "windows": STORE_WINDOWS,
+        "series_per_window": STORE_SHARDS + 1,
+        "queries": STORE_QUERIES,
+        "partition_seconds": STORE_PARTITION,
+    }
     runner.add(
         cid, "SketchStore",
-        run=store_query_run,
+        run=lambda _, data: store_query_pass(data["store"], data["ranges"]),
         prepare=store_query_prepare,
         n_items=STORE_QUERIES,
-        params={
-            "windows": STORE_WINDOWS,
-            "series_per_window": STORE_SHARDS + 1,
-            "queries": STORE_QUERIES,
-            "partition_seconds": STORE_PARTITION,
-        },
+        params=store_params,
         tags=tags_for(cid, "store"),
+    )
+
+    cid = "store/query_cold"
+
+    def store_query_cold_run(_, data):
+        # The same reads on a store opened fresh: segment indexes load
+        # and every covered partial is decoded from disk.
+        store = SketchStore(data["store"].path, partition_seconds=STORE_PARTITION)
+        store_query_pass(store, data["ranges"])
+
+    runner.add(
+        cid, "SketchStore",
+        run=store_query_cold_run,
+        prepare=store_query_prepare,
+        n_items=STORE_QUERIES,
+        params=store_params,
+        tags=tags_for(cid, "store"),
+    )
+
+    cid = "store/alert_pass"
+
+    def alert_store_prepare(ctx):
+        path = tempfile.mkdtemp(prefix="repro-bench-store-")
+        atexit.register(shutil.rmtree, path, ignore_errors=True)
+        registry, recorder, clock = _timeline_fixture(max_windows=ALERT_STORE_RING)
+        recorder.attach_store(SketchStore(path, partition_seconds=STORE_PARTITION,
+                                          registry=MetricsRegistry()))
+        hists = [registry.histogram("bench_lat_seconds", "Alert bench.", route=f"r{i}")
+                 for i in range(len(POLL_OBS))]
+        chunks = [[ctx.rng.lognormal(mean=-5.0, sigma=0.5, size=n) for n in POLL_OBS]
+                  for _ in range(ALERT_STORE_PREFILL)]
+        recorder.tick()  # attach the window mirrors
+
+        def tick(w):
+            for hist, chunk in zip(hists, chunks[w % len(chunks)]):
+                hist.observe_many(chunk)
+            clock[0] += 1.0
+            recorder.tick()
+
+        for w in range(ALERT_STORE_PREFILL):
+            tick(w)
+        engine = AlertEngine(recorder, rules=[
+            DriftRule("drift", "bench_lat_seconds", baseline_windows=ALERT_STORE_BASELINE,
+                      recent_windows=4, min_count=1, labels={"route": "r1"}),
+        ], registry=MetricsRegistry(), clock=lambda: clock[0])
+        return {"engine": engine, "tick": tick, "clock": clock}
+
+    def alert_store_run(_, data):
+        # One pass per new window: the drift rule re-reads its baseline,
+        # all but the newest of which the previous pass already read.
+        for w in range(ALERT_STORE_PASSES):
+            data["tick"](w)
+            data["engine"].evaluate(data["clock"][0])
+
+    runner.add(
+        cid, "Alerts",
+        run=alert_store_run,
+        prepare=alert_store_prepare,
+        n_items=ALERT_STORE_PASSES,
+        params={
+            "ring": ALERT_STORE_RING,
+            "baseline_windows": ALERT_STORE_BASELINE,
+            "routes": len(POLL_OBS),
+            "passes": ALERT_STORE_PASSES,
+        },
+        tags=tags_for(cid, "store", "obs"),
     )
 
     cid = "streaming/groupby_hll"

@@ -195,10 +195,10 @@ class RangeResult:
 def fold_partials(parts: list):
     """k-way fold of window partials through ``_merge_many_impl``, hook-free.
 
-    One part comes back as is — possibly a published ring partial, with
-    its cached read view — so callers must not mutate a fold result.
-    Families without a kernel fold pairwise into the first part (only
-    store reads, over copies fresh from disk).  None for no parts.
+    One part comes back as is — possibly a published ring or cached store
+    partial, with its read view — so callers must not mutate a fold result.
+    Families without a kernel fold pairwise into a clone of the first
+    part, leaving every part untouched.  None for no parts.
     """
     parts = [p for p in parts if p is not None]
     if not parts:
@@ -208,7 +208,7 @@ def fold_partials(parts: list):
     impl = getattr(type(parts[0]), "_merge_many_impl", None)
     if impl is not None:
         return impl(parts)
-    first = parts[0]
+    first = type(parts[0]).from_state_dict(parts[0].state_dict())
     for other in parts[1:]:
         first.merge(other)
     return first

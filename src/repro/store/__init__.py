@@ -16,8 +16,9 @@ Pieces:
 
 - :class:`SketchStore` — the store itself: `append` windowed series,
   `query(metric, since=, until=, group_by=, **labels)` →
-  :class:`~repro.obs.timeline.RangeResult`, `iter_windows` for replay,
-  crash-tolerant recovery (torn tail records are dropped, counted in
+  :class:`~repro.obs.timeline.RangeResult`, `iter_windows` for replay
+  (both through a byte-bounded LRU of decoded windows), crash-tolerant
+  recovery (torn tail records are dropped, counted in
   ``repro_store_tail_bytes_dropped_total``).
 - :class:`Compactor` — TTL expiry + decay compaction (aged fine
   windows merge into coarser level-1 windows), with ``repro_store_*``

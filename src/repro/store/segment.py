@@ -408,17 +408,16 @@ class SegmentReader:
             raise DeserializationError(f"{self.path}@{offset}: not a window record")
         return record
 
-    def records(
+    def select(
         self,
         offsets: list[int] | None = None,
         since: float = -math.inf,
         until: float = math.inf,
-    ):
-        """Yield ``(offset, record)`` for the given offsets (default: all).
+    ) -> list[int]:
+        """The given offsets (default: all) a read of ``[since, until)`` must open.
 
-        Records whose window is known to lie outside ``[since, until)``
-        are skipped without being read; records of an index that does
-        not list windows are all read, and the caller filters them.
+        Records known to lie outside the range are left out; an index
+        that does not list windows keeps all, for the caller to filter.
         """
         self.load()
         wanted = self._offsets if offsets is None else sorted(set(offsets))
@@ -430,6 +429,16 @@ class SegmentReader:
                 if offset not in windows
                 or (windows[offset][1] > since and windows[offset][0] < until)
             ]
+        return list(wanted)
+
+    def records(
+        self,
+        offsets: list[int] | None = None,
+        since: float = -math.inf,
+        until: float = math.inf,
+    ):
+        """Yield ``(offset, record)`` for the :meth:`select`-ed offsets."""
+        wanted = self.select(offsets, since, until)
         if not wanted:
             return
         with open(self.path, "rb") as fh:

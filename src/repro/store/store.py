@@ -25,9 +25,9 @@ those hours' raw observations.
   segments through their indexes and crashed/unsealed segments through
   a CRC-validated scan that drops only the torn tail record.
 
-Every write and read is counted in ``repro_store_*`` metrics, so the
-store's own write amplification and query traffic show up on the very
-dashboard it persists.
+Every write and read (and every read-cache hit) is counted in
+``repro_store_*`` metrics, so the store's own write amplification and
+query traffic show up on the very dashboard it persists.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import os
 import re
 import threading
 import time
+from collections import OrderedDict
 from typing import Any, Callable, Iterable
 
 from ..core.base import Sketch, sketch_registry
@@ -55,6 +56,9 @@ _SEGMENT_RE = re.compile(r"^seg-L(\d+)-(\d+)-(\d+)\.rseg$")
 
 #: series kinds a record may carry.
 KINDS = ("counter", "gauge", "histogram", "sketch")
+
+#: budget of the decoded-window cache, in encoded (framed) record bytes.
+WINDOW_CACHE_BYTES = 1 << 20
 
 
 def encode_partial(sketch: Sketch) -> bytes:
@@ -85,6 +89,36 @@ def decode_partial(blob: bytes) -> Sketch:
         ) from exc
 
 
+class _Window:
+    """One decoded window record; its partials are revived on first use."""
+
+    __slots__ = ("start", "end", "series", "keys", "sketches", "nbytes")
+
+    def __init__(self, record: dict, nbytes: int) -> None:
+        self.start = float(record["start"])
+        self.end = float(record["end"])
+        self.series = record["series"]
+        self.keys = [series_key(e["name"], e.get("labels", {})) for e in self.series]
+        self.sketches: dict[int, Sketch] = {}
+        self.nbytes = nbytes
+
+    def sketch(self, i: int) -> Sketch:
+        """Series ``i``'s partial, decoded once (caller holds the store lock)."""
+        sketch = self.sketches.get(i)
+        if sketch is None:
+            sketch = self.sketches[i] = decode_partial(self.series[i]["blob"])
+        return sketch
+
+    def entries(self, revive: bool) -> list[dict]:
+        """Fresh copies of the series entries, blobs revived when asked."""
+        out = [{**entry, "labels": dict(entry.get("labels", {}))} for entry in self.series]
+        for i, entry in enumerate(out):
+            if revive and "blob" in entry:
+                entry["sketch"] = self.sketch(i)
+                del entry["blob"]
+        return out
+
+
 class SketchStore:
     """Durable, time-partitioned window-partial store.
 
@@ -112,8 +146,16 @@ class SketchStore:
         Epoch-seconds source (injectable for deterministic tests).
 
     A single store instance is thread-safe (one internal lock covers
-    appends, queries, and compaction swaps); one *directory* must be
-    owned by one live store instance.
+    appends, queries, compaction swaps and the read cache); one
+    *directory* must be owned by one live store instance.
+
+    Reads go through a bounded LRU of decoded window records, keyed by
+    ``(segment path, record offset)`` and holding the partials revived
+    from each (:data:`WINDOW_CACHE_BYTES` of encoded records).  Published
+    records never change, so a hit answers what a decode would;
+    :meth:`remove_segments` purges the entries of the segments it drops.
+    Revived partials are shared across reads, so published partials and
+    fold results are never mutated (A16 in EXPERIMENTS.md).
     """
 
     def __init__(
@@ -136,6 +178,8 @@ class SketchStore:
         self._active: SegmentWriter | None = None
         self._partition_start: float | None = None
         self._seq = 0
+        self._cache: OrderedDict[tuple[str, int], _Window] = OrderedDict()
+        self._cache_bytes = 0
         os.makedirs(self.path, exist_ok=True)
         self._recover()
 
@@ -333,6 +377,58 @@ class SketchStore:
             for (name, labels), kind in sorted(seen.items())
         ]
 
+    def _read_windows(self, since: float, until: float, offsets_of=None):
+        """Yield records overlapping ``[since, until)``, from the cache or decoded.
+
+        ``offsets_of(reader)`` narrows a segment to the offsets a read
+        needs (default: all).  A file is opened only on a cache miss.
+        The store lock is held until the caller has consumed every
+        record; records stream, so a scan longer than the cache does
+        not hold all of its records at once.
+        """
+        read = hits = 0
+        with self._lock:
+            for reader in self._readers():
+                if not reader.overlaps(since, until):
+                    continue
+                offsets = reader.select(
+                    None if offsets_of is None else offsets_of(reader), since, until
+                )
+                read += len(offsets)
+                fh = None
+                try:
+                    for offset in offsets:
+                        key = (reader.path, offset)
+                        window = self._cache.get(key)
+                        if window is not None:
+                            hits += 1
+                            self._cache.move_to_end(key)
+                        else:
+                            fh = fh or open(reader.path, "rb")
+                            window = _Window(reader.read_at(fh, offset), fh.tell() - offset)
+                            self._remember(key, window)
+                        if window.end > since and window.start < until:
+                            yield window
+                finally:
+                    if fh is not None:
+                        fh.close()
+        if read:
+            self._count("repro_store_windows_read_total",
+                        "Window records a read touched, cache hit or decode.", read)
+        if hits:
+            self._count("repro_store_window_cache_hits_total",
+                        "Window reads served by the decoded-window cache "
+                        "(decodes = reads - hits).", hits)
+
+    def _remember(self, key: tuple[str, int], window: _Window) -> None:
+        """Cache ``window``, evicting least recently used past the budget."""
+        if window.nbytes > WINDOW_CACHE_BYTES:
+            return
+        self._cache[key] = window
+        self._cache_bytes += window.nbytes
+        while self._cache_bytes > WINDOW_CACHE_BYTES:
+            self._cache_bytes -= self._cache.popitem(last=False)[1].nbytes
+
     def _matching_rows(
         self,
         metric: str,
@@ -340,43 +436,30 @@ class SketchStore:
         until: float,
         label_filter: dict[str, str],
     ):
-        """Yield ``(start, end, labels-tuple, entry)`` rows, time-ordered.
+        """``(start, end, labels-tuple, entry, partial)`` rows, time-ordered.
 
         A row matches when the series name equals ``metric``, its
         labels are a superset of ``label_filter``, and its window
         overlaps ``[since, until)``.  Rows come out ordered by
         ``(window start, segment, offset)``.  Records the segment index
-        places outside the range are never decoded.
+        places outside the range are never read.  Sketch partials are
+        revived (once per cached record) while the store lock is held.
         """
         wanted = set(label_filter.items())
-        with self._lock:
-            readers = [r for r in self._readers() if r.overlaps(since, until)]
-            rows = []
-            windows_read = 0
-            for reader in readers:
-                keys = [
-                    key
-                    for key in reader.keys()
-                    if key[0] == metric and wanted <= set(key[1])
-                ]
-                if not keys:
-                    continue
-                offsets = sorted({o for key in keys for o in reader.offsets_for(key)})
-                for offset, record in reader.records(offsets, since, until):
-                    windows_read += 1
-                    start, end = float(record["start"]), float(record["end"])
-                    if not (end > since and start < until):
-                        continue
-                    for entry in record["series"]:
-                        key = series_key(entry["name"], entry.get("labels", {}))
-                        if key[0] == metric and wanted <= set(key[1]):
-                            rows.append((start, end, key[1], entry))
-        if windows_read:
-            self._count(
-                "repro_store_windows_read_total",
-                "Window records decoded while answering queries.",
-                windows_read,
-            )
+
+        def matches(key: tuple) -> bool:
+            return key[0] == metric and wanted <= set(key[1])
+
+        def offsets_of(reader: SegmentReader) -> set[int]:
+            return {o for key in reader.keys() if matches(key) for o in reader.offsets_for(key)}
+
+        rows = [
+            (window.start, window.end, key[1], window.series[i],
+             window.sketch(i) if "blob" in window.series[i] else None)
+            for window in self._read_windows(since, until, offsets_of)
+            for i, key in enumerate(window.keys)
+            if matches(key)
+        ]
         rows.sort(key=lambda row: (row[0], row[1]))
         return rows
 
@@ -392,7 +475,7 @@ class SketchStore:
         result = RangeResult(metric, "", labels, since, until)
         partials = []
         windows = set()
-        for start, end, _, entry in rows:
+        for start, end, _, entry, partial in rows:
             windows.add((start, end))
             result.start = start if result.start is None else min(result.start, start)
             result.end = end if result.end is None else max(result.end, end)
@@ -405,7 +488,7 @@ class SketchStore:
             elif kind == "gauge":
                 result.values.append((start, float(entry["value"])))
             else:
-                partials.append(decode_partial(entry["blob"]))
+                partials.append(partial)
         result.n_windows = len(windows)
         result.sketch = fold_partials(partials)
         return result
@@ -432,6 +515,9 @@ class SketchStore:
         the label are left out) — the windowed GROUP BY read.  Without
         ``group_by`` all matching series fold into one
         :class:`~repro.obs.RangeResult`.
+
+        A result's ``sketch`` may be a cached partial itself (a fold of
+        one window) and is shared with later reads: never mutate it.
         """
         lo = -math.inf if since is None else float(since)
         hi = math.inf if until is None else float(until)
@@ -463,39 +549,18 @@ class SketchStore:
         ``revive`` (default) sketch-kind entries carry a live
         ``"sketch"`` object instead of the raw ``"blob"``.  Windows
         come out ordered by ``(start, append order)``; records from a
-        torn segment tail are already excluded by recovery.
+        torn segment tail are already excluded by recovery.  Entry dicts
+        and lists are fresh per call; revived sketches are the cached,
+        shared partials and must not be mutated.
         """
         lo = -math.inf if since is None else float(since)
         hi = math.inf if until is None else float(until)
-        with self._lock:
-            readers = [r for r in self._readers() if r.overlaps(lo, hi)]
-        rows = []
-        count = 0
-        for reader in readers:
-            for offset, record in reader.records(since=lo, until=hi):
-                count += 1
-                start, end = float(record["start"]), float(record["end"])
-                if not (end > lo and start < hi):
-                    continue
-                rows.append((start, end, record["series"]))
-        if count:
-            self._count(
-                "repro_store_windows_read_total",
-                "Window records decoded while answering queries.",
-                count,
-            )
-        rows.sort(key=lambda row: (row[0], row[1]))
-        for start, end, series in rows:
-            if revive:
-                out = []
-                for entry in series:
-                    if entry["kind"] in ("histogram", "sketch"):
-                        entry = {
-                            key: value for key, value in entry.items() if key != "blob"
-                        } | {"sketch": decode_partial(entry["blob"])}
-                    out.append(entry)
-                series = out
-            yield {"start": start, "end": end, "series": series}
+        windows = list(self._read_windows(lo, hi))
+        windows.sort(key=lambda window: (window.start, window.end))
+        for window in windows:
+            with self._lock:
+                series = window.entries(revive)
+            yield {"start": window.start, "end": window.end, "series": series}
 
     # -- compaction support (used by repro.store.compact) ----------------------
 
@@ -509,6 +574,8 @@ class SketchStore:
         reclaimed = 0
         with self._lock:
             paths = {r.path for r in readers}
+            for key in [key for key in self._cache if key[0] in paths]:
+                self._cache_bytes -= self._cache.pop(key).nbytes
             keep = []
             for reader in self._segments:
                 if reader.path in paths:

@@ -323,7 +323,9 @@ class TestReadsLeavePartialsUntouched:
     A fold of one window returns that window's partial itself, so every
     read path (``/timeline`` per metric and ``all=1``, ``/query``, an
     alert pass) must leave the ring's partials and the ones revived from
-    the store byte-identical.
+    the store byte-identical.  The store caches the partials it revives
+    and serves them again to later passes and polls, so those must stay
+    equal to their persisted bytes too.
     """
 
     ROUTES = ("a", "b", "c")
@@ -339,13 +341,15 @@ class TestReadsLeavePartialsUntouched:
         )
         from repro.quantiles import KLLSketch
         from repro.store import SketchStore
+        from repro.store.store import encode_partial
 
         registry = MetricsRegistry()
+        store_registry = MetricsRegistry()
         clock = [1000.0]
         recorder = TimelineRecorder(registry=registry, interval=1.0, max_windows=8,
                                     clock=lambda: clock[0])
         store = SketchStore(str(tmp_path / "db"), partition_seconds=4.0,
-                            registry=MetricsRegistry())
+                            registry=store_registry)
         recorder.attach_store(store)
         hists = [registry.histogram("lat_seconds", route=r) for r in self.ROUTES]
         counters = [registry.counter("ops_total", route=r) for r in self.ROUTES]
@@ -410,11 +414,25 @@ class TestReadsLeavePartialsUntouched:
             assert status == 200
             engine.evaluate(clock[0])
             engine.evaluate(clock[0])
+            for _ in range(3):  # later passes reach into cached history
+                hists[0].observe_many(rng.lognormal(-5.0, 0.5, 50))
+                clock[0] += 1.0
+                recorder.tick(clock[0])
+                engine.evaluate(clock[0])
+                fetch(srv.url + f"/query?metric=lat_seconds&since={since!r}&q=0.99")
         finally:
             srv.stop()
             store.close()
 
         assert all(status["errors"] == 0 for status in engine.as_dict(history=0)["rules"])
+        hits = [m.value for m in store_registry.iter_metrics()
+                if m.name == "repro_store_window_cache_hits_total"]
+        assert hits and hits[0] > 0
+        cached = [(window, i, sketch) for window in store._cache.values()
+                  for i, sketch in window.sketches.items()]
+        assert cached
+        for window, i, sketch in cached:
+            assert encode_partial(sketch) == window.series[i]["blob"]
         assert self.snapshot(ring) == before
         assert revived
         for window, blobs in revived:
