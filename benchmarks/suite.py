@@ -262,6 +262,7 @@ FAST_IDS = frozenset({
     "merge/KMV/kway64",
     "merge/KLL/kway64",
     "serde/HyperLogLog/roundtrip",
+    "serde/KLL/roundtrip",
     "concurrent/CountMin/threads1",
     "concurrent/CountMin/threads4",
     "parallel/HyperLogLog/shm",

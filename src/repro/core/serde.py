@@ -260,11 +260,14 @@ _MT_STATE_WORDS = 625
 def pack_rng_state(state: tuple) -> tuple:
     """Encode ``random.Random.getstate()`` as ``(version, uint32 words, gauss_next)``.
 
-    The Mersenne Twister state is ``(version, (624 words + position),
-    gauss_next)``.  The 625 words travel as one ``uint32`` ndarray —
-    a single tagged buffer on the wire instead of 625 separately
-    tagged ints, which is what makes a persisted randomized sketch
-    cheap to encode and decode.  No string round-trip, no ``eval``.
+    KLL/REQ write an int coin state; this packs the MT state of Morris
+    and the reservoirs, which :func:`unpack_rng_state` reads back (as it
+    does the MT state of legacy KLL/REQ blobs).  The Mersenne Twister
+    state is ``(version, (624 words + position), gauss_next)``.  The 625
+    words travel as one ``uint32`` ndarray — a single tagged buffer on
+    the wire instead of 625 separately tagged ints, which is what makes
+    a persisted randomized sketch cheap to encode and decode.  No string
+    round-trip, no ``eval``.
     """
     version, internal, gauss_next = state
     return (

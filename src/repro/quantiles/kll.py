@@ -13,6 +13,10 @@ c = 2/3), so total space is O(k) while rank error stays O(n/k)-ish
 
 Fully mergeable with no error inflation (the property E7 exercises):
 merging concatenates compactor levels and re-compacts.
+
+The only randomness is one fair coin per compaction, so a sketch's
+generator is :class:`Coins`, a splitmix64 stream whose whole state is
+one 64-bit int — what ``state_dict`` persists as ``"rng_state"``.
 """
 
 from __future__ import annotations
@@ -24,10 +28,47 @@ from itertools import chain
 import numpy as np
 
 from ..core.exceptions import DeserializationError
-from ..core.serde import encoded_nbytes, pack_rng_state, unpack_rng_state
+from ..core.serde import encoded_nbytes, unpack_rng_state
 from .base import QuantileSketch
 
 __all__ = ["KLLSketch"]
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+
+class Coins:
+    """Fair coins from a splitmix64 stream; the whole state is one int in [0, 2⁶⁴)."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, seed: int = 0) -> None:
+        self.state = int(seed) & _MASK64
+
+    def flip(self) -> int:
+        """Advance by the golden gamma; 0 or 1, the top bit of the splitmix64 mix."""
+        z = self.state = (self.state + _GOLDEN_GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        # The mix's last step, z ^ (z >> 31), leaves the top bit as it is.
+        return ((z ^ (z >> 27)) * 0x94D049BB133111EB) >> 63 & 1
+
+    @classmethod
+    def from_state(cls, value) -> "Coins":
+        """Coins from a persisted ``rng_state``: the int, or a legacy MT state.
+
+        Blobs written before the coin stream carry a Mersenne Twister
+        state; it seeds the coin state deterministically with its next
+        ``getrandbits(64)``.  Anything else raises ``DeserializationError``.
+        """
+        if type(value) is not int or not 0 <= value <= _MASK64:
+            legacy = random.Random()
+            try:
+                legacy.setstate(unpack_rng_state(value))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DeserializationError(f"corrupt rng state: {exc}") from exc
+            value = legacy.getrandbits(64)
+        return cls(value)
+
 
 #: wire bytes of one compactor level besides its 8 B values: the
 #: ndarray tag, dtype string, shape and byte count.
@@ -55,9 +96,9 @@ def levels_from_state(levels) -> list:
 
 
 def footprint_of(sketch) -> int:
-    """Wire size of a compactor-stack sketch: levels + RNG state."""
+    """Wire size of a compactor-stack sketch: levels + the encoded coin-state int."""
     stored = sum(LEVEL_WIRE_OVERHEAD + 8 * len(buf) for buf in sketch._compactors)
-    return 128 + stored + encoded_nbytes(pack_rng_state(sketch._rng.getstate()))
+    return 128 + stored + encoded_nbytes(sketch._coins.state)
 
 
 def bulk_insert(sketch, values) -> int:
@@ -65,7 +106,7 @@ def bulk_insert(sketch, values) -> int:
 
     Fills compactor 0 up to its capacity with list slices and
     compresses at exactly the same fill points as per-item updates, so
-    the state (including RNG consumption) is identical to sequential
+    the state (including coin consumption) is identical to sequential
     ``update`` calls.  Returns the number of values inserted; the
     caller maintains ``n``.
     """
@@ -134,7 +175,7 @@ class KLLSketch(QuantileSketch):
             raise ValueError(f"k must be >= 8, got {k}")
         self.k = k
         self.seed = seed
-        self._rng = random.Random(seed)
+        self._coins = Coins(seed)
         self._compactors: list[list[float]] = [[]]
         # Per-level capacities for the current height (see _capacities).
         self._caps: list[int] = []
@@ -175,8 +216,7 @@ class KLLSketch(QuantileSketch):
             self._grow()
         # Promote a random parity; the rest are discarded — their weight
         # is now represented by the promoted items (unbiased halving).
-        offset = self._rng.randrange(2)
-        promoted = buf[offset::2]
+        promoted = buf[self._coins.flip()::2]
         self._compactors[level] = []
         self._compactors[level + 1].extend(promoted)
 
@@ -273,7 +313,7 @@ class KLLSketch(QuantileSketch):
         for other in parts[1:]:
             first._check_mergeable(other, "k")
         merged = cls(k=first.k, seed=first.seed)
-        merged._rng.setstate(first._rng.getstate())
+        merged._coins.state = first._coins.state
         merged._compactors = [list(buf) for buf in first._compactors]
         pending = 0
         for sk in parts[1:]:
@@ -290,7 +330,7 @@ class KLLSketch(QuantileSketch):
         return merged
 
     def memory_footprint(self) -> int:
-        """O(levels): retained values (8 B each on the wire) + RNG state."""
+        """O(levels): retained values (8 B each on the wire) + one coin-state int."""
         return footprint_of(self)
 
     def state_dict(self) -> dict:
@@ -299,7 +339,7 @@ class KLLSketch(QuantileSketch):
             "seed": self.seed,
             "n": self.n,
             "compactors": levels_to_state(self._compactors),
-            "rng_state": pack_rng_state(self._rng.getstate()),
+            "rng_state": self._coins.state,
         }
 
     @classmethod
@@ -307,5 +347,5 @@ class KLLSketch(QuantileSketch):
         sk = cls(k=state["k"], seed=state["seed"])
         sk.n = state["n"]
         sk._compactors = levels_from_state(state["compactors"])
-        sk._rng.setstate(unpack_rng_state(state["rng_state"]))
+        sk._coins = Coins.from_state(state["rng_state"])
         return sk

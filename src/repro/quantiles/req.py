@@ -23,11 +23,8 @@ E6's suite and tested below), the exact constants are not.
 
 from __future__ import annotations
 
-import random
-
-from ..core.serde import pack_rng_state, unpack_rng_state
 from .base import QuantileSketch
-from .kll import bulk_insert, footprint_of, levels_from_state, levels_to_state
+from .kll import Coins, bulk_insert, footprint_of, levels_from_state, levels_to_state
 from .kll import sorted_view, view_quantile, view_rank
 
 __all__ = ["ReqSketch"]
@@ -51,7 +48,7 @@ class ReqSketch(QuantileSketch):
             raise ValueError(f"k must be even and >= 8, got {k}")
         self.k = k
         self.seed = seed
-        self._rng = random.Random(seed)
+        self._coins = Coins(seed)
         self._compactors: list[list[float]] = [[]]
         self._view = None
         self.n = 0
@@ -88,8 +85,7 @@ class ReqSketch(QuantileSketch):
         # Protect the top half: only the low half is halved upward.
         protect = len(buf) // 2
         low, high = buf[:-protect] if protect else buf, buf[-protect:] if protect else []
-        offset = self._rng.randrange(2)
-        promoted = low[offset::2]
+        promoted = low[self._coins.flip()::2]
         self._compactors[level] = list(high)
         self._compactors[level + 1].extend(promoted)
 
@@ -132,7 +128,7 @@ class ReqSketch(QuantileSketch):
         for other in parts[1:]:
             first._check_mergeable(other, "k")
         merged = cls(k=first.k, seed=first.seed)
-        merged._rng.setstate(first._rng.getstate())
+        merged._coins.state = first._coins.state
         merged._compactors = [list(buf) for buf in first._compactors]
         height = max(len(sk._compactors) for sk in parts)
         while len(merged._compactors) < height:
@@ -145,7 +141,7 @@ class ReqSketch(QuantileSketch):
         return merged
 
     def memory_footprint(self) -> int:
-        """O(levels): retained values (8 B each on the wire) + RNG state."""
+        """O(levels): retained values (8 B each on the wire) + one coin-state int."""
         return footprint_of(self)
 
     def state_dict(self) -> dict:
@@ -154,7 +150,7 @@ class ReqSketch(QuantileSketch):
             "seed": self.seed,
             "n": self.n,
             "compactors": levels_to_state(self._compactors),
-            "rng_state": pack_rng_state(self._rng.getstate()),
+            "rng_state": self._coins.state,
         }
 
     @classmethod
@@ -162,5 +158,5 @@ class ReqSketch(QuantileSketch):
         sk = cls(k=state["k"], seed=state["seed"])
         sk.n = state["n"]
         sk._compactors = levels_from_state(state["compactors"])
-        sk._rng.setstate(unpack_rng_state(state["rng_state"]))
+        sk._coins = Coins.from_state(state["rng_state"])
         return sk
