@@ -9,7 +9,10 @@ per-shard segments, the parent adopts the arrays with no serde) and
 once through the in-process serial path — and compares the full
 ``state_dict()`` contents byte for byte.  It also asserts the build
 really used the shm transport (no silent fallback) and that no wire
-bytes were shipped.  Exits nonzero on the first mismatch — cheap
+bytes were shipped.  A second pass builds every family again on the
+now-warm worker pool and must match the serial builds again, on the
+same workers, so a build cannot leave state behind for the next one.
+Exits nonzero if any check fails — cheap
 enough for CI (the exhaustive version lives in
 ``tests/parallel/test_shm.py``).
 
@@ -52,19 +55,16 @@ def normalize(value):
     return value
 
 
-def main() -> int:
-    if not shm_available():
-        print("shared memory unavailable on this platform; nothing to check")
-        return 0
-    rng = np.random.default_rng(20230)
-    items = rng.integers(0, 1 << 40, size=N_ITEMS, dtype=np.uint64)
-    shards = partition_items(items, N_SHARDS)
+def check_families(shards) -> tuple[int, set]:
+    """Build every family over shm and serially; (mismatches, worker pids)."""
     failures = 0
+    pids = set()
     for name, spec in FAMILIES:
         shm_built, report = parallel_build(
             spec, shards, workers=2, backend="shm", return_report=True
         )
         serial_built = parallel_build(spec, shards, backend="serial")
+        pids |= report.worker_pids
         problems = []
         if report.backend != "shm":
             problems.append(f"fell back to {report.backend} ({report.fallback_reason})")
@@ -79,10 +79,33 @@ def main() -> int:
             failures += 1
         else:
             print(f"  ok       {name} (shm={report.total_shm_bytes}B, wire=0B)")
+    return failures, pids
+
+
+def main() -> int:
+    if not shm_available():
+        print("shared memory unavailable on this platform; nothing to check")
+        return 0
+    rng = np.random.default_rng(20230)
+    items = rng.integers(0, 1 << 40, size=N_ITEMS, dtype=np.uint64)
+    shards = partition_items(items, N_SHARDS)
+    print("pass 1: the first build spawns the worker pool")
+    failures, first_pids = check_families(shards)
+    # The pool outlives each build: building every family again on the
+    # same workers shows that no build leaves state behind for the next.
+    print("pass 2: every family again on the warm pool")
+    warm_failures, warm_pids = check_families(shards)
+    failures += warm_failures
+    if not warm_pids <= first_pids:
+        print(f"  MISMATCH pool: pass 2 ran on new workers {sorted(warm_pids - first_pids)}")
+        failures += 1
     if failures:
-        print(f"{failures} famil{'y' if failures == 1 else 'ies'} diverged")
+        print(f"{failures} check{'' if failures == 1 else 's'} failed")
         return 1
-    print(f"all {len(FAMILIES)} families: shm build == serial build, zero wire bytes")
+    print(
+        f"all {len(FAMILIES)} families, cold and warm pool: "
+        "shm build == serial build, zero wire bytes"
+    )
     return 0
 
 

@@ -69,7 +69,9 @@ def _read_len(buf: io.BytesIO, per_item: int = 1) -> int:
         raise DeserializationError("truncated length field")
     n = struct.unpack("<Q", raw)[0]
     if per_item:
-        remaining = buf.getbuffer().nbytes - buf.tell()
+        # With no buffer export alive, getvalue() hands back the buffer's
+        # own bytes object (no copy), so this is cheap on every field.
+        remaining = len(buf.getvalue()) - buf.tell()
         if n * per_item > remaining:
             raise DeserializationError(
                 f"corrupt length field: {n} exceeds the {remaining} bytes remaining"

@@ -43,11 +43,13 @@ needs a picklable factory and a
 :class:`~repro.core.SharedStateSketch` family), ``"process"`` (the
 serde wire path: workers return partials through the versioned
 ``to_bytes`` format — exactly what a multi-node aggregation tier would
-put on the network), ``"thread"`` (cheap, shares memory), ``"serial"``
-(same code path, no pool), and ``"auto"`` which picks from the worker
-count, input size, factory picklability, and shared-state support —
-upgrading to ``shm`` whenever the family allows it (warning once per
-process when it has to downgrade away from the preferred transport).
+put on the network; both process backends submit to one warm pool
+that outlives each build), ``"thread"`` (cheap, shares memory),
+``"serial"`` (same code path, no pool), and ``"auto"`` which picks
+from the worker count, input size, factory picklability, and
+shared-state support — upgrading to ``shm`` whenever the family
+allows it (warning once per process when it has to downgrade away from
+the preferred transport).
 Streaming integration:
 ``StreamPipeline.feed_parallel`` shards a record batch through the
 pipeline's transform chain, and ``GroupBySketcher.combine`` reduces a

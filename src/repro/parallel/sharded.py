@@ -18,14 +18,14 @@ production:
    :meth:`~repro.core.MergeableSketch.merge_many` reduction instead of
    ``k − 1`` pairwise merges.
 
-Backends: ``"shm"`` (a ``ProcessPoolExecutor`` over the zero-copy
+Backends: ``"shm"`` (a process pool over the zero-copy
 shared-memory shard fabric of :mod:`repro.parallel.shm`; workers build
 partials *inside* shared segments and the reduce reads them with no
 serde round-trip — needs a picklable factory and a family implementing
 the :class:`~repro.core.SharedStateSketch` protocol), ``"process"``
 (the same pool shipping partials over the serde wire format; works for
 every family), ``"thread"`` (cheap, shares memory; right for small
-inputs where process spawn would dominate), ``"serial"`` (same code
+inputs where process hand-off would dominate), ``"serial"`` (same code
 path, no pool; the baseline and the ``workers=1`` fast path), and
 ``"auto"`` which picks between them from the worker count, input size,
 factory picklability, and shared-state support — upgrading to ``shm``
@@ -36,6 +36,19 @@ reason (``small_input``, ``unpicklable_factory``, ``no_shm_support``,
 :class:`~repro.obs.BuildReport`, and (when :mod:`repro.obs` is
 enabled) a ``repro_parallel_backend_fallback_total{reason=...}``
 counter.
+
+The process pool is warm: ``shm`` and ``process`` builds submit to one
+``ProcessPoolExecutor`` that outlives the build, so only a build with
+a new worker count pays to fork workers.  The pool is created
+lazily and replaced (the old one shut down) when a build asks for
+another worker count or when it is broken (a worker died).  A forked
+child drops its parent's pool and makes its own, and the standard
+library shuts the pool down at interpreter exit.  Its workers start with
+:mod:`repro.obs` metrics and tracing off; traced builds switch tracing
+on per task.  Factories and items reach the workers by pickle, so a
+factory must be importable by the workers: a function defined in
+``__main__`` after the first build is not, since the workers were
+forked before it existed.
 
 Every build emits telemetry: one :class:`~repro.obs.ShardSpan` per
 shard (worker pid, item count, build/serde wall time, wire bytes —
@@ -60,11 +73,18 @@ from __future__ import annotations
 import io
 import os
 import pickle
+import threading
 import time
 import warnings
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import (
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    as_completed,
+    wait,
+)
 from contextlib import nullcontext
+from multiprocessing import resource_tracker
 from typing import Any
 
 import numpy as np
@@ -72,15 +92,23 @@ import numpy as np
 from ..core import MergeableSketch, from_bytes_any, supports_shared_state
 from ..core.serde import decode_value, encode_value
 from ..obs.registry import STATE as _OBS
-from ..obs.registry import MetricsRegistry, get_registry
+from ..obs.registry import MetricsRegistry, disable, get_registry
 from ..obs.report import BuildReport, ShardSpan
 from ..obs.trace import TRACE as _TRACE
-from ..obs.trace import SpanContext, Tracer, enable_tracing, get_tracer, set_tracer
+from ..obs.trace import (
+    SpanContext,
+    Tracer,
+    disable_tracing,
+    enable_tracing,
+    get_tracer,
+    set_tracer,
+)
 
 __all__ = ["ShardedBuilder", "SketchSpec", "parallel_build", "partition_items"]
 
 #: below this many total items, "auto" prefers threads over processes
-#: (pool spawn + shard pickling would swamp the ingest time).
+#: (shard pickling and the hand-off to the warm pool's workers would
+#: swamp the ingest time).
 SMALL_INPUT_THRESHOLD = 1 << 16
 
 _BACKENDS = ("auto", "shm", "process", "thread", "serial")
@@ -88,6 +116,85 @@ _BACKENDS = ("auto", "shm", "process", "thread", "serial")
 #: fallback reasons already warned about (one RuntimeWarning per reason
 #: per process; the obs counter still counts every occurrence).
 _FALLBACK_WARNED: set[str] = set()
+
+#: the warm process pool and the worker count it was made for.  Only one
+#: is kept, so no more than ``workers`` processes outlive a build.
+_POOL: ProcessPoolExecutor | None = None
+_POOL_WORKERS = 0
+_POOL_LOCK = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """After a fork, in the child: drop the parent's pool and lock.
+
+    The child must never submit to its parent's workers, and the lock
+    may have been held by another thread of the parent when it forked.
+    """
+    global _POOL, _POOL_LOCK
+    _POOL = None
+    _POOL_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _init_worker() -> None:
+    """Pool initializer: a worker starts with metrics and tracing off.
+
+    A forked worker inherits the obs switches of the moment it was
+    forked and then outlives that build; without this, one forked
+    during a traced build would keep recording spans on every later
+    untraced one.
+    """
+    disable()
+    disable_tracing()
+
+
+def _submit(workers: int, fn: Callable, arg_lists: Sequence[tuple]) -> list:
+    """Submit ``fn(*args)`` for each of ``arg_lists`` to the warm pool.
+
+    The pool is made on first use and replaced when it was made for
+    another worker count or is shut down, which a broken pool (a worker
+    died) is too, so one crashed build does not fail every later one.  The
+    tasks are submitted under the lock, so a build in another thread
+    cannot shut the pool down between lookup and submit; the replaced
+    pool is shut down after the lock is released, once the tasks
+    already on it have finished.
+    """
+    global _POOL, _POOL_WORKERS
+    with _POOL_LOCK:
+        pool = stale = _POOL
+        if pool is None or pool._shutdown_thread or _POOL_WORKERS != workers:
+            if os.name == "posix":
+                # Workers must share this process's resource tracker
+                # (see ``shm.attach_segment``).  One forked before the
+                # tracker exists starts its own at its first attach,
+                # and that tracker unlinks the parent's segments again,
+                # warning, when the pool shuts down.
+                resource_tracker.ensure_running()
+            pool = _POOL = ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker
+            )
+            _POOL_WORKERS = workers
+        else:
+            stale = None
+        futures = [pool.submit(fn, *args) for args in arg_lists]
+    if stale is not None:
+        stale.shutdown(wait=True)
+    return futures
+
+
+def _settle(futures: list) -> None:
+    """Cancel a failed build's queued tasks and wait out its running ones.
+
+    The pool outlives the build, so this is what keeps a failed build's
+    leftover work out of the next one, and keeps the shm fabric from
+    being unlinked under a worker that is still writing to it.
+    """
+    for future in futures:
+        future.cancel()
+    wait(futures)
 
 
 class SketchSpec:
@@ -486,10 +593,11 @@ def parallel_build(
                 shipped_shards = fabric.pack_inputs(shard_list)
                 names = fabric.segment_names
                 spans = [None] * n
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(
-                            _shm._build_shard_shm,
+                futures = _submit(
+                    workers,
+                    _shm._build_shard_shm,
+                    [
+                        (
                             factory,
                             shipped_shards[i],
                             i,
@@ -498,13 +606,18 @@ def parallel_build(
                             ctx_blob,
                         )
                         for i in range(n)
-                    ]
+                    ],
+                )
+                try:
                     for future in as_completed(futures):
                         span_blob, trace_blob = future.result()
                         span = ShardSpan.from_wire(span_blob)
                         spans[span.shard_id] = span
                         if tracer is not None and trace_blob:
                             tracer.adopt(_decode_spans(trace_blob), parent=root_span)
+                except BaseException:
+                    _settle(futures)
+                    raise
                 # Zero-copy adopt: rebind a fresh sketch per shard onto
                 # the worker-written segment arrays; no decode, no copy.
                 parts = [fabric.attach_partial(factory, i) for i in range(n)]
@@ -515,16 +628,15 @@ def parallel_build(
                 )
                 parts = [None] * n
                 spans = [None] * n
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(
-                            _build_shard_bytes, factory, shard_list[i], i, ctx_blob
-                        )
-                        for i in range(n)
-                    ]
-                    # Decode each blob as its worker finishes, overlapping
-                    # parent-side deserialization with still-running
-                    # builds; spans/parts land back in shard order.
+                futures = _submit(
+                    workers,
+                    _build_shard_bytes,
+                    [(factory, shard_list[i], i, ctx_blob) for i in range(n)],
+                )
+                # Decode each blob as its worker finishes, overlapping
+                # parent-side deserialization with still-running
+                # builds; spans/parts land back in shard order.
+                try:
                     for future in as_completed(futures):
                         blob, span_blob, trace_blob = future.result()
                         start = time.perf_counter()
@@ -540,6 +652,9 @@ def parallel_build(
                             # root_span as parent, so adoption just
                             # lands it in the buffer.
                             tracer.adopt(_decode_spans(trace_blob), parent=root_span)
+                except BaseException:
+                    _settle(futures)
+                    raise
 
             t_merge = time.perf_counter()
             first = parts[0]

@@ -110,6 +110,8 @@ def attach_segment(name: str):
     books: no premature unlink, no leaked-object warning, and no
     KeyError from double unregistration.  Explicitly unregistering here
     would *unbalance* that shared cache, so we deliberately do not.
+    ``parallel_build`` starts the tracker before it forks its warm
+    pool, so every worker finds the parent's.
     """
     return _shared_memory.SharedMemory(name=name)
 
@@ -373,6 +375,7 @@ def _build_shard_shm(
     seg = attach_segment(segment_name)
     trace_id = span_id = parent_span_id = ""
     spans_blob = b""
+    views = sketch = None
     try:
         views = layout.views(seg.buf)
         sketch = factory()
@@ -414,7 +417,7 @@ def _build_shard_shm(
     finally:
         # Drop every view into the buffers before closing the local
         # mappings; the parent keeps the segments alive and owns unlink.
-        del views, sketch
+        views = sketch = None
         if isinstance(items, np.ndarray):
             del items
         _close_quietly(seg)

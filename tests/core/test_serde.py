@@ -159,6 +159,27 @@ class TestCorruptionHardening:
         with pytest.raises(DeserializationError):
             decode_value(self.corrupt(np.ones(3), clobber))
 
+    @pytest.mark.parametrize(
+        "value,per_item",
+        [("hello", 1), (b"bytes", 1), (12345, 1), ([1, 2, 3], 1), ({"a": 1}, 2)],
+    )
+    def test_length_one_past_the_end_fails_the_length_check(self, value, per_item):
+        # A value after a leading one: the check must count the bytes
+        # left from the current position to the end of the buffer.
+        out = io.BytesIO()
+        encode_value("lead", out)
+        start = out.tell()
+        encode_value(value, out)
+        blob = bytearray(out.getvalue())
+        fits = (len(blob) - start - 9) // per_item
+        buf = io.BytesIO(bytes(blob))
+        assert decode_value(buf) == "lead"
+        blob[start + 1 : start + 9] = (fits + 1).to_bytes(8, "little")
+        buf = io.BytesIO(bytes(blob))
+        decode_value(buf)
+        with pytest.raises(DeserializationError, match="corrupt length field"):
+            decode_value(buf)
+
     def test_zero_dim_still_roundtrips(self):
         # Regression guard for the validator: a (0, huge) shape is legal.
         arr = np.zeros((0, 10**6), dtype=np.float64)
