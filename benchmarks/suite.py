@@ -11,16 +11,16 @@ Tags:
 - ``scalar`` — per-item ``update`` throughput (the A4 ablation);
 - ``batch`` — ``update_many`` throughput (the A5 ablation);
 - ``merge`` — 64-way ``merge_many`` reduction (the A6 ablation);
-- ``serde`` — ``to_bytes``/``from_bytes`` round-trip;
+- ``serde`` — ``to_bytes``/``from_bytes`` round-trips (a fixed batch
+  per timed run, reported per round trip);
 - ``concurrent`` — multi-threaded ``update_many`` ingest through
   :class:`~repro.concurrent.ConcurrentSketch` (``threads{1,2,4}``
   writers over pre-split chunks, joined and compacted inside the timed
   region — the A10 ablation gating the lock-free wrapper);
-- ``parallel`` — full fan-out/reduce ``parallel_build`` over process
-  pools, shm (zero-copy shared-memory fabric) vs process (serde wire)
-  transports — the A11 ablation gating the shm fabric; scatter, build,
-  and reduce are inside the timed region, on the warm process pool the
-  first call spawns;
+- ``parallel`` — full fan-out/reduce ``parallel_build`` on the
+  ``process`` backend (serde wire); scatter, build, and reduce are
+  inside the timed region, on the warm process pool the first call
+  spawns;
 - ``obs`` — the telemetry timeline (the A9 observability plane):
   ``obs/timeline_record`` feeds histograms and ticks windows closed,
   ``obs/observe_inline`` is the per-request path (one ``observe`` +
@@ -187,18 +187,21 @@ _MERGE = [
     ("Reservoir", lambda: ReservoirSampler(k=256, seed=1), _ints),
 ]
 
+#: round trips per timed serde run: one cold round trip per repetition
+#: is too short to time sharply.
+SERDE_ROUNDTRIPS = 32
+
 _SERDE = [
     ("HyperLogLog", lambda: HyperLogLog(p=12, seed=1), _ints),
     ("KLL", lambda: KLLSketch(k=200, seed=1), _floats),
 ]
 
-#: full fan-out/reduce builds over a process pool: shm (zero-copy
-#: shared-memory fabric) vs process (serde wire) transports.
+#: full fan-out/reduce builds over the warm process pool (serde wire).
 _PARALLEL = [
     ("HyperLogLog", SketchSpec(HyperLogLog, p=12, seed=1), _ints),
     ("CountMin", SketchSpec(CountMinSketch, width=2048, depth=4, seed=1), _ints),
 ]
-PARALLEL_BACKENDS = ("shm", "process")
+PARALLEL_BACKENDS = ("process",)
 
 #: multi-threaded ingest through the lock-free concurrent wrapper.
 _CONCURRENT = [
@@ -266,7 +269,6 @@ FAST_IDS = frozenset({
     "serde/KLL/roundtrip",
     "concurrent/CountMin/threads1",
     "concurrent/CountMin/threads4",
-    "parallel/HyperLogLog/shm",
     "parallel/HyperLogLog/process",
     "obs/timeline_record",
     "obs/observe_inline",
@@ -468,14 +470,16 @@ def build_runner(
             return sk
 
         def run(_, sk):
-            type(sk).from_bytes(sk.to_bytes())
+            cls = type(sk)
+            for _ in range(SERDE_ROUNDTRIPS):
+                cls.from_bytes(sk.to_bytes())
 
         runner.add(
             cid, label,
             run=run,
             prepare=prepare,
-            n_items=1,
-            params={"n": N_SCALAR, "path": "roundtrip"},
+            n_items=SERDE_ROUNDTRIPS,
+            params={"n": N_SCALAR, "path": "roundtrip", "roundtrips": SERDE_ROUNDTRIPS},
             footprint=lambda _, sk: sk.memory_footprint(),
             tags=tags_for(cid, "serde"),
         )

@@ -11,7 +11,6 @@ PACKAGES = [
     "repro.frequency", "repro.quantiles", "repro.moments",
     "repro.sampling", "repro.dimreduction", "repro.lsh",
     "repro.graphsketch", "repro.linalg", "repro.parallel",
-    "repro.parallel.shm",
     "repro.streaming", "repro.adtech", "repro.privacy", "repro.federated",
     "repro.adversarial", "repro.concurrent", "repro.obs",
     "repro.obs.trace", "repro.obs.audit", "repro.obs.http",
@@ -24,7 +23,7 @@ PACKAGES = [
 #: modules whose full docstring goes into the reference (they document a
 #: cross-cutting protocol, not just a container of names).
 FULL_DOC = {
-    "repro.core.batch", "repro.parallel", "repro.parallel.shm",
+    "repro.core.batch", "repro.parallel",
     "repro.streaming",
     "repro.concurrent", "repro.obs",
     "repro.obs.trace", "repro.obs.audit", "repro.obs.http",

@@ -98,16 +98,6 @@ class FlajoletMartin(MergeableSketch):
         merged._bitmaps = np.bitwise_or.reduce([sk._bitmaps for sk in parts])
         return merged
 
-    # -- SharedStateSketch protocol (repro.parallel.shm) ------------------
-
-    def _state_arrays(self) -> dict:
-        """Live bitmap array: the complete mutable state."""
-        return {"bitmaps": self._bitmaps}
-
-    def _attach_state(self, arrays) -> None:
-        """Adopt a (possibly shared-memory-backed) bitmap array by reference."""
-        self._bitmaps = arrays["bitmaps"]
-
     def state_dict(self) -> dict:
         return {"m": self.m, "seed": self.seed, "bitmaps": self._bitmaps}
 

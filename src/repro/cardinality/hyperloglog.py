@@ -162,16 +162,6 @@ class HyperLogLog(MergeableSketch):
         """O(1): the dense register file plus serde framing (≈128 B)."""
         return 128 + self._registers.nbytes
 
-    # -- SharedStateSketch protocol (repro.parallel.shm) ------------------
-
-    def _state_arrays(self) -> dict:
-        """Live register file: the complete mutable state."""
-        return {"registers": self._registers}
-
-    def _attach_state(self, arrays) -> None:
-        """Adopt a (possibly shared-memory-backed) register file by reference."""
-        self._registers = arrays["registers"]
-
     def state_dict(self) -> dict:
         return {"p": self.p, "seed": self.seed, "registers": self._registers}
 
@@ -367,24 +357,6 @@ class HyperLogLogPlusPlus(HyperLogLog):
         if self._sparse is None:
             return dense
         return dense + 96 + 9 * len(self._sparse)
-
-    # -- SharedStateSketch opt-out ----------------------------------------
-
-    def _state_arrays(self) -> dict:
-        # Sparse mode stores (index, ρ) pairs in a dict, so the state
-        # shape is data-dependent — the fixed-layout contract of
-        # repro.parallel.shm cannot hold.  Opt back out of the hooks
-        # inherited from the dense HyperLogLog.
-        raise NotImplementedError(
-            "HyperLogLogPlusPlus sparse mode has data-dependent state; "
-            "use HyperLogLog for shared-memory builds"
-        )
-
-    def _attach_state(self, arrays) -> None:
-        raise NotImplementedError(
-            "HyperLogLogPlusPlus sparse mode has data-dependent state; "
-            "use HyperLogLog for shared-memory builds"
-        )
 
     def state_dict(self) -> dict:
         state = {"p": self.p, "seed": self.seed, "registers": self._registers}

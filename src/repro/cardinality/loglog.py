@@ -116,16 +116,6 @@ class LogLog(MergeableSketch):
         merged._registers = registers
         return merged
 
-    # -- SharedStateSketch protocol (repro.parallel.shm) ------------------
-
-    def _state_arrays(self) -> dict:
-        """Live register file: the complete mutable state."""
-        return {"registers": self._registers}
-
-    def _attach_state(self, arrays) -> None:
-        """Adopt a (possibly shared-memory-backed) register file by reference."""
-        self._registers = arrays["registers"]
-
     def state_dict(self) -> dict:
         return {"p": self.p, "seed": self.seed, "registers": self._registers}
 

@@ -2,11 +2,9 @@
 
 from .base import (
     MergeableSketch,
-    SharedStateSketch,
     Sketch,
     from_bytes_any,
     sketch_registry,
-    supports_shared_state,
 )
 from .batch import canonical_keys, canonical_weights, hll_registers
 from .estimate import Estimate, z_score
@@ -35,10 +33,8 @@ __all__ = [
     "Estimate",
     "IncompatibleSketchError",
     "MergeableSketch",
-    "SharedStateSketch",
     "Sketch",
     "SketchError",
-    "supports_shared_state",
     "blob_nbytes",
     "canonical_keys",
     "canonical_weights",

@@ -34,9 +34,7 @@ import functools
 import time
 import types
 from abc import ABC, abstractmethod
-from collections.abc import Mapping
 from contextlib import nullcontext
-from typing import Protocol, runtime_checkable
 
 from ..obs.registry import HOT as _HOT
 from ..obs.registry import STATE as _OBS
@@ -49,10 +47,8 @@ from .serde import blob_nbytes, dump_sketch, load_header
 __all__ = [
     "Sketch",
     "MergeableSketch",
-    "SharedStateSketch",
     "sketch_registry",
     "from_bytes_any",
-    "supports_shared_state",
 ]
 
 sketch_registry: dict[str, type] = {}
@@ -411,63 +407,6 @@ class MergeableSketch(Sketch):
 # __init_subclass__; wrap the default update_many loop here so classes
 # that rely on it (no vectorized kernel) are still observable.
 Sketch.update_many = _instrument("update_many", Sketch.update_many)
-
-
-@runtime_checkable
-class SharedStateSketch(Protocol):
-    """Opt-in protocol for sketches whose state lives in fixed-shape arrays.
-
-    A family implements it by providing two hooks, and thereby becomes
-    eligible for the zero-copy shared-memory shard fabric
-    (:mod:`repro.parallel.shm`, ``parallel_build(backend="shm")``):
-
-    - :meth:`_state_arrays` returns the complete mutable state as a
-      ``name -> ndarray`` dict.  Array-valued state (register files,
-      counter tables, bit arrays) must be returned as the **live**
-      arrays — mutating them mutates the sketch — while scalar counters
-      (``n``, ``n_inserted``) are materialized as fresh 1-element
-      arrays.  The distinction is observable (``arr is`` the live
-      attribute or not) and is what lets a transport ship the big
-      arrays zero-copy and flush only the few scalar bytes.
-    - :meth:`_attach_state` is the inverse: adopt array-valued entries
-      **by reference** (no copy — the arrays may be views into a shared
-      segment, and subsequent updates must land there) and read scalar
-      entries out of their 1-element arrays.
-
-    Contract: for a fresh sketch ``b`` of equal parameters,
-    ``b._attach_state({k: v.copy() for k, v in a._state_arrays().items()})``
-    must make ``b.state_dict()`` equivalent to ``a.state_dict()``.  The
-    dict's entries must have shapes and dtypes that depend only on the
-    constructor parameters (fixed per factory), never on the ingested
-    data — that is what lets the fabric size a shard's segment before
-    the worker has seen a single item.  Families with variable-size
-    state (sparse HLL++, samplers, compactors) must NOT implement the
-    protocol; :func:`supports_shared_state` is the eligibility check.
-    """
-
-    def _state_arrays(self) -> dict: ...
-
-    def _attach_state(self, arrays: Mapping) -> None: ...
-
-
-def supports_shared_state(obj) -> bool:
-    """True when ``obj`` (a sketch instance) implements
-    :class:`SharedStateSketch`.
-
-    Beyond the structural ``isinstance`` check, this probes one
-    ``_state_arrays()`` call (side-effect free: the hook returns views)
-    so a subclass of an implementing family can opt back *out* by
-    overriding the hook to raise ``NotImplementedError`` —
-    ``HyperLogLogPlusPlus`` does exactly that while its sparse mode
-    makes the state shape data-dependent.
-    """
-    if not isinstance(obj, SharedStateSketch):
-        return False
-    try:
-        obj._state_arrays()
-    except (NotImplementedError, TypeError):
-        return False
-    return True
 
 
 def _revive(cls: type, state: dict) -> Sketch:

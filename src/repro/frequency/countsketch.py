@@ -146,17 +146,6 @@ class CountSketch(MergeableSketch):
         """O(1): the depth x width counter table plus serde framing."""
         return 192 + self._table.nbytes
 
-    # -- SharedStateSketch protocol (repro.parallel.shm) ------------------
-
-    def _state_arrays(self) -> dict:
-        """Live counter table plus the stream total as a 1-element array."""
-        return {"table": self._table, "n": np.array([self.n], dtype=np.int64)}
-
-    def _attach_state(self, arrays) -> None:
-        """Adopt a table by reference; read the scalar total out."""
-        self._table = arrays["table"]
-        self.n = int(arrays["n"][0])
-
     def state_dict(self) -> dict:
         return {
             "width": self.width,

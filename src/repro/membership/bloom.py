@@ -159,26 +159,6 @@ class BloomFilter(MergeableSketch):
         """
         return 128 + (self.m + 7) // 8
 
-    # -- SharedStateSketch protocol (repro.parallel.shm) ------------------
-
-    def _state_arrays(self) -> dict:
-        """Live bit array (unpacked bool) plus the insert count.
-
-        The shared segment carries the live ``bool`` representation
-        (one byte per bit) rather than the packed serde form: packing
-        would reintroduce an encode/decode copy on both ends, which is
-        exactly what the shm fabric exists to avoid.
-        """
-        return {
-            "bits": self._bits,
-            "n_inserted": np.array([self.n_inserted], dtype=np.int64),
-        }
-
-    def _attach_state(self, arrays) -> None:
-        """Adopt a bit array by reference; read the insert count out."""
-        self._bits = arrays["bits"]
-        self.n_inserted = int(arrays["n_inserted"][0])
-
     def state_dict(self) -> dict:
         return {
             "m": self.m,
@@ -297,28 +277,6 @@ class CountingBloomFilter(MergeableSketch):
     def memory_footprint(self) -> int:
         """O(1): the uint16 counter array plus serde framing."""
         return 128 + self._counts.nbytes
-
-    # -- SharedStateSketch protocol (repro.parallel.shm) ------------------
-
-    def _state_arrays(self) -> dict:
-        """Live counter array plus the insert count.
-
-        Note :meth:`update_many` *rebinds* ``_counts`` (the saturating
-        sum materializes a new array) rather than mutating in place;
-        the shm fabric's end-of-build flush detects the rebind (the
-        returned array is no longer the attached view) and copies the
-        final counters back into the shared segment — one memcpy, still
-        no serde.
-        """
-        return {
-            "counts": self._counts,
-            "n_inserted": np.array([self.n_inserted], dtype=np.int64),
-        }
-
-    def _attach_state(self, arrays) -> None:
-        """Adopt a counter array by reference; read the insert count out."""
-        self._counts = arrays["counts"]
-        self.n_inserted = int(arrays["n_inserted"][0])
 
     def state_dict(self) -> dict:
         return {

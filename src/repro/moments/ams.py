@@ -186,17 +186,6 @@ class AMSSketch(MergeableSketch):
         merged.n = sum(sk.n for sk in parts)
         return merged
 
-    # -- SharedStateSketch protocol (repro.parallel.shm) ------------------
-
-    def _state_arrays(self) -> dict:
-        """Live counter matrix plus the stream total as a 1-element array."""
-        return {"z": self._z, "n": np.array([self.n], dtype=np.int64)}
-
-    def _attach_state(self, arrays) -> None:
-        """Adopt a counter matrix by reference; read the scalar total out."""
-        self._z = arrays["z"]
-        self.n = int(arrays["n"][0])
-
     def state_dict(self) -> dict:
         return {
             "buckets": self.buckets,

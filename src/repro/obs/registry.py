@@ -644,12 +644,6 @@ class MetricsRegistry:
                 "repro_parallel_shard_build_seconds", "Per-shard build wall time.",
                 backend=backend,
             ).observe_many([span.build_seconds for span in spans])
-            shm_bytes = sum(getattr(span, "shm_bytes", 0) for span in spans)
-            if shm_bytes:
-                self.counter(
-                    "repro_parallel_shm_bytes_total",
-                    "Shared-memory segment bytes built into (shm backend).",
-                ).inc(shm_bytes)
         self.histogram(
             "repro_parallel_merge_seconds", "k-way reduce wall time per build.",
             backend=backend,

@@ -51,10 +51,6 @@ class ShardSpan:
     trace_id: str = ""
     span_id: str = ""
     parent_span_id: str = ""
-    #: bytes of the shared-memory segment the shard was built in (0 for
-    #: every transport other than the ``"shm"`` backend, whose partials
-    #: never cross the wire — ``n_bytes`` stays 0 there instead).
-    shm_bytes: int = 0
 
     def to_wire(self) -> bytes:
         """Encode with the typed serde encoder (the sketch wire format)."""
@@ -105,11 +101,6 @@ class BuildReport:
         return sum(span.n_bytes for span in self.spans)
 
     @property
-    def total_shm_bytes(self) -> int:
-        """Shared-memory segment bytes built into (0 off the shm path)."""
-        return sum(span.shm_bytes for span in self.spans)
-
-    @property
     def build_seconds(self) -> float:
         """Summed per-shard build time (CPU-ish; > wall when parallel)."""
         return sum(span.build_seconds for span in self.spans)
@@ -158,7 +149,5 @@ class BuildReport:
             )
             if span.n_bytes:
                 line += f" serde={span.serde_seconds * 1e3:.2f}ms wire={span.n_bytes}B"
-            if span.shm_bytes:
-                line += f" shm={span.shm_bytes}B"
             lines.append(line)
         return "\n".join(lines)

@@ -36,20 +36,14 @@ Fan-out/reduce pipeline
 
 :func:`parallel_build` (and its accumulating wrapper
 :class:`ShardedBuilder`) runs the full shard → build → reduce path.
-Backends: ``"shm"`` (the zero-copy shared-memory shard fabric of
-:mod:`repro.parallel.shm` — workers build partials *inside* per-shard
-shared segments and the reduce adopts them with no serde round-trip;
-needs a picklable factory and a
-:class:`~repro.core.SharedStateSketch` family), ``"process"`` (the
-serde wire path: workers return partials through the versioned
-``to_bytes`` format — exactly what a multi-node aggregation tier would
-put on the network; both process backends submit to one warm pool
-that outlives each build), ``"thread"`` (cheap, shares memory),
-``"serial"`` (same code path, no pool), and ``"auto"`` which picks
-from the worker count, input size, factory picklability, and
-shared-state support — upgrading to ``shm`` whenever the family
-allows it (warning once per process when it has to downgrade away from
-the preferred transport).
+Backends: ``"process"`` (the serde wire path: workers return partials
+through the versioned ``to_bytes`` format — exactly what a multi-node
+aggregation tier would put on the network — on one warm pool that
+outlives each build), ``"thread"`` (cheap, shares memory),
+``"serial"`` (same code path, no pool), and ``"auto"``, which picks
+``serial`` for one worker, ``thread`` for small inputs or an
+unpicklable factory (warning once per process per reason), and
+``process`` otherwise.
 Streaming integration:
 ``StreamPipeline.feed_parallel`` shards a record batch through the
 pipeline's transform chain, and ``GroupBySketcher.combine`` reduces a
@@ -65,16 +59,12 @@ spans also land in the metrics registry.
 
 from ..obs.report import BuildReport, ShardSpan
 from .sharded import ShardedBuilder, SketchSpec, parallel_build, partition_items
-from .shm import ShardFabric, StateLayout, shm_available
 
 __all__ = [
     "BuildReport",
-    "ShardFabric",
     "ShardSpan",
     "ShardedBuilder",
     "SketchSpec",
-    "StateLayout",
     "parallel_build",
     "partition_items",
-    "shm_available",
 ]

@@ -18,26 +18,21 @@ production:
    :meth:`~repro.core.MergeableSketch.merge_many` reduction instead of
    ``k − 1`` pairwise merges.
 
-Backends: ``"shm"`` (a process pool over the zero-copy
-shared-memory shard fabric of :mod:`repro.parallel.shm`; workers build
-partials *inside* shared segments and the reduce reads them with no
-serde round-trip — needs a picklable factory and a family implementing
-the :class:`~repro.core.SharedStateSketch` protocol), ``"process"``
-(the same pool shipping partials over the serde wire format; works for
-every family), ``"thread"`` (cheap, shares memory; right for small
-inputs where process hand-off would dominate), ``"serial"`` (same code
-path, no pool; the baseline and the ``workers=1`` fast path), and
-``"auto"`` which picks between them from the worker count, input size,
-factory picklability, and shared-state support — upgrading to ``shm``
-whenever the family allows it.  When resolution downgrades away from
-the preferred backend it says so: a one-time ``RuntimeWarning`` per
-reason (``small_input``, ``unpicklable_factory``, ``no_shm_support``,
-``no_shm_platform``), the reason recorded on the
-:class:`~repro.obs.BuildReport`, and (when :mod:`repro.obs` is
+Backends: ``"process"`` (a pool of worker processes shipping partials
+over the serde wire format; works for every family), ``"thread"``
+(cheap, shares memory; right for small inputs where process hand-off
+would dominate, and for numpy kernels that release the GIL),
+``"serial"`` (same code path, no pool; the baseline and the
+``workers=1`` fast path), and ``"auto"``, which picks ``serial`` for
+one worker, ``thread`` below :data:`SMALL_INPUT_THRESHOLD` items or for
+an unpicklable factory, and ``process`` otherwise.  When ``auto``
+settles for threads it says why: a one-time ``RuntimeWarning`` per
+reason (``small_input``, ``unpicklable_factory``), the reason recorded
+on the :class:`~repro.obs.BuildReport`, and (when :mod:`repro.obs` is
 enabled) a ``repro_parallel_backend_fallback_total{reason=...}``
 counter.
 
-The process pool is warm: ``shm`` and ``process`` builds submit to one
+The process pool is warm: ``process`` builds submit to one
 ``ProcessPoolExecutor`` that outlives the build, so only a build with
 a new worker count pays to fork workers.  The pool is created
 lazily and replaced (the old one shut down) when a build asks for
@@ -84,12 +79,11 @@ from concurrent.futures import (
     wait,
 )
 from contextlib import nullcontext
-from multiprocessing import resource_tracker
 from typing import Any
 
 import numpy as np
 
-from ..core import MergeableSketch, from_bytes_any, supports_shared_state
+from ..core import MergeableSketch, from_bytes_any
 from ..core.serde import decode_value, encode_value
 from ..obs.registry import STATE as _OBS
 from ..obs.registry import MetricsRegistry, disable, get_registry
@@ -111,7 +105,7 @@ __all__ = ["ShardedBuilder", "SketchSpec", "parallel_build", "partition_items"]
 #: swamp the ingest time).
 SMALL_INPUT_THRESHOLD = 1 << 16
 
-_BACKENDS = ("auto", "shm", "process", "thread", "serial")
+_BACKENDS = ("auto", "process", "thread", "serial")
 
 #: fallback reasons already warned about (one RuntimeWarning per reason
 #: per process; the obs counter still counts every occurrence).
@@ -166,13 +160,6 @@ def _submit(workers: int, fn: Callable, arg_lists: Sequence[tuple]) -> list:
     with _POOL_LOCK:
         pool = stale = _POOL
         if pool is None or pool._shutdown_thread or _POOL_WORKERS != workers:
-            if os.name == "posix":
-                # Workers must share this process's resource tracker
-                # (see ``shm.attach_segment``).  One forked before the
-                # tracker exists starts its own at its first attach,
-                # and that tracker unlinks the parent's segments again,
-                # warning, when the pool shuts down.
-                resource_tracker.ensure_running()
             pool = _POOL = ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker
             )
@@ -189,8 +176,7 @@ def _settle(futures: list) -> None:
     """Cancel a failed build's queued tasks and wait out its running ones.
 
     The pool outlives the build, so this is what keeps a failed build's
-    leftover work out of the next one, and keeps the shm fabric from
-    being unlinked under a worker that is still writing to it.
+    leftover work out of the next one.
     """
     for future in futures:
         future.cancel()
@@ -404,48 +390,17 @@ def _shard_size(shard) -> int:
         return 0
 
 
-def _shm_fallback_reason(factory: Callable[[], Any]) -> str | None:
-    """Why the shm fabric can't serve this build (None when it can).
-
-    ``no_shm_platform`` — named shared memory missing or unusable here;
-    ``no_shm_support`` — the factory's family does not implement the
-    :class:`~repro.core.SharedStateSketch` protocol (or opted out).
-    """
-    from . import shm as _shm
-
-    if not _shm.shm_available():
-        return "no_shm_platform"
-    try:
-        prototype = factory()
-    except Exception:
-        return "no_shm_support"
-    if not supports_shared_state(prototype):
-        return "no_shm_support"
-    return None
-
-
 def _resolve_backend(
     backend: str, workers: int, total_items: int, factory
 ) -> tuple[str, str | None]:
-    """Resolve ``"auto"``/``"shm"`` to a concrete backend, naming any downgrade.
+    """Resolve ``"auto"`` to a concrete backend, naming any downgrade.
 
     Returns ``(resolved backend, fallback reason or None)``.  A reason
-    is set when resolution had to downgrade from the preferred
-    transport: ``auto`` aiming at a pool but blocked (``small_input``,
-    ``unpicklable_factory``), or the zero-copy fabric unavailable
-    (``no_shm_support``, ``no_shm_platform``) — the latter pair applies
-    both to an explicit ``backend="shm"`` request (degrading to the
-    serde process pool) and to ``auto`` declining the upgrade.
+    is set when ``auto`` aimed at the process pool but settled for
+    threads: ``small_input`` or ``unpicklable_factory``.
     """
     if backend not in _BACKENDS:
         raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-    if backend == "shm":
-        if not _is_picklable(factory):
-            return "thread", "unpicklable_factory"
-        reason = _shm_fallback_reason(factory)
-        if reason is None:
-            return "shm", None
-        return "process", reason
     if backend != "auto":
         return backend, None
     if workers <= 1:
@@ -454,30 +409,17 @@ def _resolve_backend(
         return "thread", "small_input"
     if not _is_picklable(factory):
         return "thread", "unpicklable_factory"
-    reason = _shm_fallback_reason(factory)
-    if reason is None:
-        return "shm", None
-    return "process", reason
+    return "process", None
 
 
-def _warn_fallback(reason: str | None, resolved: str, requested: str = "auto") -> None:
+def _warn_fallback(reason: str | None, resolved: str) -> None:
     if reason is None or reason in _FALLBACK_WARNED:
         return
     _FALLBACK_WARNED.add(reason)
-    if reason in ("no_shm_support", "no_shm_platform"):
-        hint = (
-            "the zero-copy shm fabric needs a SharedStateSketch family "
-            "and working POSIX shared memory; the serde process pool is "
-            "used instead"
-        )
-    else:
-        hint = (
-            "pass an explicit backend= to silence, or a picklable factory "
-            "(SketchSpec) / larger input to parallelize across processes"
-        )
     warnings.warn(
-        f"parallel_build: backend={requested!r} fell back to {resolved!r} "
-        f"({reason}); {hint}",
+        f"parallel_build: backend='auto' fell back to {resolved!r} "
+        f"({reason}); pass an explicit backend= to silence, or a picklable "
+        "factory (SketchSpec) / larger input to parallelize across processes",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -508,9 +450,10 @@ def parallel_build(
     workers:
         Pool size; defaults to ``min(len(shards), cpu_count)``.
     backend:
-        ``"shm"``, ``"process"``, ``"thread"``, ``"serial"``, or
-        ``"auto"`` (which upgrades to the zero-copy shm fabric whenever
-        the platform and the family support it).
+        ``"process"``, ``"thread"``, ``"serial"``, or ``"auto"``:
+        ``serial`` for one worker, ``thread`` below
+        :data:`SMALL_INPUT_THRESHOLD` items or for an unpicklable
+        factory, ``process`` otherwise.
     return_report:
         When true, return ``(sketch, BuildReport)`` — one
         :class:`~repro.obs.ShardSpan` per shard (worker pid, item
@@ -540,7 +483,7 @@ def parallel_build(
     shard_list = [s for s, _ in sized]
     total = sum(n for _, n in sized)
     resolved, fallback_reason = _resolve_backend(backend, workers, total, factory)
-    _warn_fallback(fallback_reason, resolved, backend)
+    _warn_fallback(fallback_reason, resolved)
 
     tracing = _TRACE.enabled
     tracer = get_tracer() if tracing else None
@@ -556,122 +499,72 @@ def parallel_build(
         else nullcontext()
     )
     spans: list[ShardSpan]
-    fabric = None
-    try:
-        with root_ctx as root_span:
-            trace_parent = root_span.context() if root_span is not None else None
-            if resolved == "serial":
-                built = [
-                    _build_shard(factory, shard, i, "serial", trace_parent)
-                    for i, shard in enumerate(shard_list)
-                ]
-                parts = [sketch for sketch, _ in built]
-                spans = [span for _, span in built]
-            elif resolved == "thread":
-                n = len(shard_list)
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    built = list(
-                        pool.map(
-                            _build_shard,
-                            [factory] * n,
-                            shard_list,
-                            range(n),
-                            ["thread"] * n,
-                            [trace_parent] * n,
-                        )
+    with root_ctx as root_span:
+        trace_parent = root_span.context() if root_span is not None else None
+        if resolved == "serial":
+            built = [
+                _build_shard(factory, shard, i, "serial", trace_parent)
+                for i, shard in enumerate(shard_list)
+            ]
+            parts = [sketch for sketch, _ in built]
+            spans = [span for _, span in built]
+        elif resolved == "thread":
+            n = len(shard_list)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                built = list(
+                    pool.map(
+                        _build_shard,
+                        [factory] * n,
+                        shard_list,
+                        range(n),
+                        ["thread"] * n,
+                        [trace_parent] * n,
                     )
-                parts = [sketch for sketch, _ in built]
-                spans = [span for _, span in built]
-            elif resolved == "shm":
-                from . import shm as _shm
+                )
+            parts = [sketch for sketch, _ in built]
+            spans = [span for _, span in built]
+        else:
+            n = len(shard_list)
+            ctx_blob = trace_parent.to_wire() if trace_parent is not None else None
+            parts = [None] * n
+            spans = [None] * n
+            futures = _submit(
+                workers,
+                _build_shard_bytes,
+                [(factory, shard_list[i], i, ctx_blob) for i in range(n)],
+            )
+            # Decode each blob as its worker finishes, overlapping
+            # parent-side deserialization with still-running
+            # builds; spans/parts land back in shard order.
+            try:
+                for future in as_completed(futures):
+                    blob, span_blob, trace_blob = future.result()
+                    start = time.perf_counter()
+                    part = from_bytes_any(blob)
+                    decode_seconds = time.perf_counter() - start
+                    span = ShardSpan.from_wire(span_blob)
+                    span.serde_seconds += decode_seconds
+                    parts[span.shard_id] = part
+                    spans[span.shard_id] = span
+                    if tracer is not None and trace_blob:
+                        # Re-parent the worker's subtree into this
+                        # trace; its shard_build root already names
+                        # root_span as parent, so adoption just
+                        # lands it in the buffer.
+                        tracer.adopt(_decode_spans(trace_blob), parent=root_span)
+            except BaseException:
+                _settle(futures)
+                raise
 
-                n = len(shard_list)
-                ctx_blob = (
-                    trace_parent.to_wire() if trace_parent is not None else None
-                )
-                fabric = _shm.ShardFabric(factory(), n)
-                shipped_shards = fabric.pack_inputs(shard_list)
-                names = fabric.segment_names
-                spans = [None] * n
-                futures = _submit(
-                    workers,
-                    _shm._build_shard_shm,
-                    [
-                        (
-                            factory,
-                            shipped_shards[i],
-                            i,
-                            names[i],
-                            fabric.layout,
-                            ctx_blob,
-                        )
-                        for i in range(n)
-                    ],
-                )
-                try:
-                    for future in as_completed(futures):
-                        span_blob, trace_blob = future.result()
-                        span = ShardSpan.from_wire(span_blob)
-                        spans[span.shard_id] = span
-                        if tracer is not None and trace_blob:
-                            tracer.adopt(_decode_spans(trace_blob), parent=root_span)
-                except BaseException:
-                    _settle(futures)
-                    raise
-                # Zero-copy adopt: rebind a fresh sketch per shard onto
-                # the worker-written segment arrays; no decode, no copy.
-                parts = [fabric.attach_partial(factory, i) for i in range(n)]
-            else:
-                n = len(shard_list)
-                ctx_blob = (
-                    trace_parent.to_wire() if trace_parent is not None else None
-                )
-                parts = [None] * n
-                spans = [None] * n
-                futures = _submit(
-                    workers,
-                    _build_shard_bytes,
-                    [(factory, shard_list[i], i, ctx_blob) for i in range(n)],
-                )
-                # Decode each blob as its worker finishes, overlapping
-                # parent-side deserialization with still-running
-                # builds; spans/parts land back in shard order.
-                try:
-                    for future in as_completed(futures):
-                        blob, span_blob, trace_blob = future.result()
-                        start = time.perf_counter()
-                        part = from_bytes_any(blob)
-                        decode_seconds = time.perf_counter() - start
-                        span = ShardSpan.from_wire(span_blob)
-                        span.serde_seconds += decode_seconds
-                        parts[span.shard_id] = part
-                        spans[span.shard_id] = span
-                        if tracer is not None and trace_blob:
-                            # Re-parent the worker's subtree into this
-                            # trace; its shard_build root already names
-                            # root_span as parent, so adoption just
-                            # lands it in the buffer.
-                            tracer.adopt(_decode_spans(trace_blob), parent=root_span)
-                except BaseException:
-                    _settle(futures)
-                    raise
-
-            t_merge = time.perf_counter()
-            first = parts[0]
-            if isinstance(first, MergeableSketch):
-                merged = type(first).merge_many(parts)
-            else:
-                merged = first
-                for other in parts[1:]:
-                    merged.merge(other)
-            t_end = time.perf_counter()
-    finally:
-        if fabric is not None:
-            # Drop the attached partials so the segments can unmap, then
-            # tear the fabric down (close + unlink) — also on the error
-            # path, including a worker dying mid-build.
-            parts = first = None
-            fabric.close()
+        t_merge = time.perf_counter()
+        first = parts[0]
+        if isinstance(first, MergeableSketch):
+            merged = type(first).merge_many(parts)
+        else:
+            merged = first
+            for other in parts[1:]:
+                merged.merge(other)
+        t_end = time.perf_counter()
 
     report = BuildReport(
         requested_backend=backend,

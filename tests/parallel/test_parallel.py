@@ -158,6 +158,10 @@ class TestParallelBuildValidation:
         with pytest.raises(ValueError):
             parallel_build(HLL_SPEC, [[1]], backend="gpu")
 
+    def test_retired_shm_backend_rejected(self):
+        with pytest.raises(ValueError, match="backend must be one of"):
+            parallel_build(HLL_SPEC, [[1]], backend="shm")
+
     def test_bad_workers_rejected(self):
         with pytest.raises(ValueError):
             parallel_build(HLL_SPEC, [[1]], workers=0)
@@ -174,18 +178,14 @@ class TestAutoBackend:
     def test_small_input_prefers_threads(self):
         assert _resolve_backend("auto", 4, 100, HLL_SPEC) == ("thread", "small_input")
 
-    def test_large_picklable_input_upgrades_to_shm(self):
-        # HLL implements SharedStateSketch, so auto prefers the
-        # zero-copy fabric over the serde process pool.
+    def test_large_picklable_input_uses_processes(self):
         big = SMALL_INPUT_THRESHOLD + 1
-        assert _resolve_backend("auto", 4, big, HLL_SPEC) == ("shm", None)
+        assert _resolve_backend("auto", 4, big, HLL_SPEC) == ("process", None)
 
-    def test_large_input_without_shm_support_uses_processes(self):
-        from repro.quantiles import KLLSketch
-
+    def test_large_picklable_kll_input_uses_processes(self):
         big = SMALL_INPUT_THRESHOLD + 1
         spec = SketchSpec(KLLSketch, k=200, seed=7)
-        assert _resolve_backend("auto", 4, big, spec) == ("process", "no_shm_support")
+        assert _resolve_backend("auto", 4, big, spec) == ("process", None)
 
     def test_unpicklable_factory_falls_back_to_threads(self):
         big = SMALL_INPUT_THRESHOLD + 1
