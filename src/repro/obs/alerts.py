@@ -10,8 +10,9 @@ distribution-level checks cheap enough to run continuously.
 :class:`AlertEngine` evaluates a set of rules against a
 :class:`~repro.obs.TimelineRecorder`'s windows on its own daemon
 ticker (rules with long baselines transparently reach past the ring
-into an attached :class:`~repro.store.SketchStore` via
-``recorder.windows(since=)``).  Four rule families:
+into an attached :class:`~repro.store.SketchStore`: their
+``recorder.query`` reads fold the store's rows for the windows older
+than the ring).  Four rule families:
 
 - :class:`ThresholdRule` — counter rate/total or gauge last-value
   against a fixed threshold over the last ``over`` windows
@@ -156,7 +157,9 @@ class RuleContext:
     multiples of :attr:`interval` and read through
     :meth:`~repro.obs.TimelineRecorder.query`, which folds KLL window
     partials with the k-way merge kernel and (with a store attached)
-    transparently reaches past the ring for deep baselines.
+    transparently reaches past the ring for deep baselines: windows
+    older than the ring come from the store as rows of the one series
+    asked for, never as whole revived windows.
     """
 
     __slots__ = ("recorder", "now")

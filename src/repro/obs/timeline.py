@@ -44,8 +44,12 @@ overlaps ``[since, until)``, so boundaries snap outward to at most one
 With a :class:`~repro.store.SketchStore` attached
 (:meth:`TimelineRecorder.attach_store`), every published window is
 also written through to disk, a restart rehydrates the ring (and the
-``/dashboard`` sparklines) from the store, and range reads with an
-explicit ``since`` reach past the ring into persisted history.
+``/dashboard`` sparklines) from the store, and :meth:`~TimelineRecorder.query`
+/ :meth:`~TimelineRecorder.series` with an explicit ``since`` reach past
+the ring, reading only the asked-for series' rows of older windows
+from the store.  Ring, store, ``/timeline`` and decay-compaction reads
+all fold ``(start, end, labels, kind, value-or-partial)`` rows through
+one function.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from collections import deque
 from typing import Any, Callable
 
 from .registry import (
@@ -99,6 +104,12 @@ class TimelineWindow:
     def overlaps(self, since: float, until: float) -> bool:
         """Whether this window intersects the half-open range [since, until)."""
         return self.end > since and self.start < until
+
+    def _table(self, kind: str) -> dict:
+        """The dict holding series of ``kind``."""
+        return self.counters if kind == "counter" else (
+            self.gauges if kind == "gauge" else self.histograms
+        )
 
     def __repr__(self) -> str:
         return (
@@ -212,6 +223,36 @@ def fold_partials(parts: list):
     for other in parts[1:]:
         first.merge(other)
     return first
+
+
+def _fold_window_rows(metric: str, rows: list, labels: dict | tuple = (),
+                      since: float = -math.inf, until: float = math.inf) -> RangeResult:
+    """Fold time-ordered ``(start, end, labels-tuple, kind, value-or-partial)`` rows.
+
+    Counters sum, gauges keep time-ordered values, partials go through
+    :func:`fold_partials`; ``kind`` reads ``"mixed"`` when rows disagree
+    and ``n_windows`` counts distinct windows.  The one range fold of
+    the recorder, the store (GROUP BY included) and decay compaction.
+    """
+    result = RangeResult(metric, "", labels, since, until)
+    partials = []
+    windows = set()
+    for start, end, _, kind, value in rows:
+        windows.add((start, end))
+        result.start = start if result.start is None else min(result.start, start)
+        result.end = end if result.end is None else max(result.end, end)
+        result.kind = kind if result.kind in ("", kind) else "mixed"
+        if kind == "counter":
+            result.total += value
+            result.values.append((start, value))
+        elif kind == "gauge":
+            result.values.append((start, value))
+        else:
+            partials.append(value)
+    result.n_windows = len(windows)
+    if partials:
+        result.sketch = fold_partials(partials)
+    return result
 
 
 class TimelineRecorder:
@@ -344,17 +385,11 @@ class TimelineRecorder:
         never take down the tick loop: they are swallowed and counted
         in ``repro_timeline_store_write_errors_total`` instead.
         """
-        series = []
-        for key, kind in window.kinds.items():
-            name, labels = key
-            entry: dict[str, Any] = {"name": name, "labels": dict(labels), "kind": kind}
-            if kind == "counter":
-                entry["value"] = window.counters[key]
-            elif kind == "gauge":
-                entry["value"] = window.gauges[key]
-            else:
-                entry["sketch"] = window.histograms[key]
-            series.append(entry)
+        series = [
+            {"name": key[0], "labels": dict(key[1]), "kind": kind,
+             "sketch" if kind == "histogram" else "value": window._table(kind)[key]}
+            for key, kind in window.kinds.items()
+        ]
         if not series:
             return
         try:
@@ -452,8 +487,9 @@ class TimelineRecorder:
         into the ring first — so after a restart the ``/dashboard``
         sparklines and ring-resolution queries pick up where the dead
         process left off (``repro_store_windows_replayed_total`` counts
-        them).  Once attached, range reads with an explicit ``since``
-        also reach past the ring into the store's older history.
+        them).  Only the kept windows' partials are decoded.  Once
+        attached, :meth:`query` and :meth:`series` with an explicit
+        ``since`` also reach past the ring into the store's older history.
         """
         with self._tick_lock:
             self._store = store
@@ -463,11 +499,8 @@ class TimelineRecorder:
                 empty = not self._windows
             if not empty:
                 return self
-            replayed = [
-                self._window_from_record(record)
-                for record in store.iter_windows(revive=True)
-            ]
-            replayed = replayed[-self.max_windows:]
+            kept = deque(store.iter_windows(revive=False), maxlen=self.max_windows)
+            replayed = [self._window_from_record(record) for record in kept]
             with self._lock:
                 if not self._windows:  # still empty: publish the history
                     self._windows = replayed
@@ -486,53 +519,37 @@ class TimelineRecorder:
             self._store = None
 
     def _window_from_record(self, record: dict) -> TimelineWindow:
-        """Convert one store window record back into a :class:`TimelineWindow`."""
+        """Revive one raw store window record into a :class:`TimelineWindow` (replay)."""
+        from ..store.store import decode_partial
+
         start = float(record["start"])
         end = float(record["end"])
         window = TimelineWindow(int(math.floor(end / self.interval)), start, end)
         for entry in record["series"]:
             key = (entry["name"], _labels_key(entry.get("labels", {})))
-            kind = entry["kind"]
-            if kind == "counter":
-                window.counters[key] = float(entry["value"])
-                window.kinds[key] = "counter"
-            elif kind == "gauge":
-                window.gauges[key] = float(entry["value"])
-                window.kinds[key] = "gauge"
-            else:
-                window.histograms[key] = entry["sketch"]
+            if "blob" in entry:
+                window.histograms[key] = decode_partial(entry["blob"])
                 window.kinds[key] = "histogram"
+            else:
+                window._table(entry["kind"])[key] = float(entry["value"])
+                window.kinds[key] = entry["kind"]
         return window
 
     # -- introspection ---------------------------------------------------------
 
     def windows(self, since: float | None = None, until: float | None = None):
-        """Published windows (oldest first), optionally range-filtered.
+        """Ring windows (oldest first) overlapping ``[since, until)``.
 
-        With a store attached and an explicit ``since``, history older
-        than the ring's oldest window is fetched from disk and
-        prepended — a ``?since=`` that predates the ring transparently
-        reaches into persisted segments (ring windows win on overlap,
-        so nothing is double-counted).
+        The ring only: history older than it is read through
+        :meth:`query` and :meth:`series`.
         """
         with self._lock:
             windows = list(self._windows)
+        if since is None and until is None:
+            return windows
         lo = -math.inf if since is None else since
         hi = math.inf if until is None else until
-        store = self._store
-        if store is not None and since is not None:
-            # Ring windows shadow their persisted copies: only pull
-            # disk history strictly older than the ring's oldest start.
-            cutoff = windows[0].start if windows else hi
-            if lo < cutoff:
-                older = [
-                    self._window_from_record(record)
-                    for record in store.iter_windows(since=lo, until=min(hi, cutoff))
-                ]
-                windows = [w for w in older if w.start < cutoff] + windows
-        if since is not None or until is not None:
-            windows = [w for w in windows if w.overlaps(lo, hi)]
-        return windows
+        return [w for w in windows if w.overlaps(lo, hi)]
 
     def coverage(self) -> tuple[float, float] | None:
         """(oldest window start, newest window end), or None when empty."""
@@ -557,26 +574,47 @@ class TimelineRecorder:
 
     # -- queries ---------------------------------------------------------------
 
-    def _resolve_key(
-        self, metric: str, labels: dict[str, str] | None, windows: list | None = None
-    ) -> tuple:
-        """(metric, labels-tuple), inferring labels when unambiguous."""
-        if labels:
-            return (metric, _labels_key(labels))
-        if windows is None:
-            windows = self.windows()
-        candidates = {
-            key for window in windows for key in window.kinds if key[0] == metric
-        }
-        if len(candidates) > 1:
-            variants = [dict(key[1]) for key in sorted(candidates)]
-            raise ValueError(
-                f"metric {metric!r} has {len(candidates)} labelsets {variants}; "
-                "pass labels to disambiguate"
-            )
-        if candidates:
-            return candidates.pop()
-        return (metric, _labels_key(labels or {}))
+    def _rows(self, metric: str, since, until, labels: dict) -> tuple[tuple, list]:
+        """``(labels-tuple, fold rows)`` of one series over ``[since, until)``.
+
+        With a store and an explicit ``since``, the store's rows of
+        windows older than the ring come first, then the ring's (ring
+        windows shadow their persisted copies).  ``labels`` is the exact
+        labelset; without it the labelset is inferred when unambiguous,
+        else ``ValueError``.
+        """
+        lo = -math.inf if since is None else float(since)
+        hi = math.inf if until is None else float(until)
+        with self._lock:
+            ring = list(self._windows)
+        wanted = _labels_key(labels) if labels else None
+        rows = []
+        store = self._store
+        if store is not None and since is not None:
+            cutoff = ring[0].start if ring else hi
+            if lo < cutoff:
+                rows = [
+                    row for row in store._matching_rows(metric, lo, min(hi, cutoff), labels)
+                    if wanted is None or row[2] == wanted
+                ]
+        for window in ring:
+            if window.end <= lo or window.start >= hi:
+                continue
+            keys = [(metric, wanted)] if wanted else [k for k in window.kinds if k[0] == metric]
+            for key in keys:
+                kind = window.kinds.get(key)
+                if kind is not None:
+                    value = window._table(kind)[key]
+                    rows.append((window.start, window.end, key[1], kind, value))
+        if wanted is None:
+            candidates = sorted({row[2] for row in rows})
+            if len(candidates) > 1:
+                raise ValueError(
+                    f"metric {metric!r} has {len(candidates)} labelsets "
+                    f"{[dict(c) for c in candidates]}; pass labels to disambiguate"
+                )
+            wanted = candidates[0] if candidates else ()
+        return wanted, rows
 
     def query(
         self,
@@ -592,32 +630,13 @@ class TimelineRecorder:
         k-way KLL merge — so ``query(...).quantile(0.99)`` is the
         p99 *of the observations inside the covered windows*, with the
         live histogram's rank guarantee.  Defaults cover the whole
-        ring.  Unknown metrics yield an empty result (``n_windows=0``).
+        ring; an explicit ``since`` reaches past it into an attached
+        store.  Unknown metrics yield an empty result (``n_windows=0``).
         """
         lo = -math.inf if since is None else float(since)
         hi = math.inf if until is None else float(until)
-        covered = self.windows(since, until)
-        key = self._resolve_key(metric, labels, covered)
-        kind = ""
-        result = RangeResult(metric, kind, dict(key[1]), lo, hi)
-        partials = []
-        for window in covered:
-            if key not in window.kinds:
-                continue
-            result.n_windows += 1
-            result.start = window.start if result.start is None else result.start
-            result.end = window.end
-            result.kind = window.kinds[key]
-            if key in window.counters:
-                delta = window.counters[key]
-                result.total += delta
-                result.values.append((window.start, delta))
-            elif key in window.gauges:
-                result.values.append((window.start, window.gauges[key]))
-            elif key in window.histograms:
-                partials.append(window.histograms[key])
-        result.sketch = fold_partials(partials)
-        return result
+        wanted, rows = self._rows(metric, since, until, labels)
+        return _fold_window_rows(metric, rows, wanted, lo, hi)
 
     def series(
         self,
@@ -631,47 +650,33 @@ class TimelineRecorder:
         """Per-step points for one metric (the ``/timeline`` JSON body).
 
         Windows are bucketed onto a grid of width ``step`` (default:
-        the recorder interval) aligned to the epoch: counter buckets
-        sum deltas, gauge buckets keep the last value, histogram
-        buckets ``merge_many``-fold their partials and report ``count``
+        the recorder interval) aligned to the epoch and each bucket is
+        folded like :meth:`query`: counter points carry the summed
+        deltas, gauge points the last value, histogram points ``count``
         plus the requested ``quantiles``.  Each point is
         ``{"t": bucket_start, ...}``; empty buckets are omitted.
         """
-        if step is None:
-            step = self.interval
+        step = self.interval if step is None else step
         if step <= 0:
             raise ValueError(f"step must be > 0, got {step}")
-        lo = -math.inf if since is None else float(since)
-        hi = math.inf if until is None else float(until)
-        covered = self.windows(since, until)
-        key = self._resolve_key(metric, labels, covered)
-        buckets: dict[int, dict] = {}
-        for window in covered:
-            if key not in window.kinds:
-                continue
-            index = int(math.floor(window.start / step))
-            bucket = buckets.setdefault(
-                index, {"kind": window.kinds[key], "value": 0.0, "partials": []}
-            )
-            if key in window.counters:
-                bucket["value"] += window.counters[key]
-            elif key in window.gauges:
-                bucket["value"] = window.gauges[key]
-            elif key in window.histograms:
-                bucket["partials"].append(window.histograms[key])
+        _, rows = self._rows(metric, since, until, labels)
+        buckets: dict[int, list] = {}
+        for row in rows:
+            buckets.setdefault(int(math.floor(row[0] / step)), []).append(row)
         points = []
         for index in sorted(buckets):
-            bucket = buckets[index]
+            folded = _fold_window_rows(metric, buckets[index])
             point: dict[str, Any] = {"t": index * step}
-            if bucket["kind"] == "histogram":
-                merged = fold_partials(bucket["partials"])
-                point["count"] = merged.n if merged is not None else 0
+            if folded.kind == "counter":
+                point["value"] = folded.total
+            elif folded.kind == "gauge":
+                point["value"] = folded.last
+            else:
+                point["count"] = folded.count
                 point["quantiles"] = {
-                    str(q): (merged.quantile(q) if merged is not None and merged.n else None)
+                    str(q): (folded.quantile(q) if folded.count else None)
                     for q in quantiles
                 }
-            else:
-                point["value"] = bucket["value"]
             points.append(point)
         return points
 
@@ -684,7 +689,7 @@ class TimelineRecorder:
     ) -> dict:
         """Full timeline snapshot: meta plus every series (dashboard payload)."""
         coverage = self.coverage()
-        out: dict[str, Any] = {
+        return {
             "interval": self.interval,
             "max_windows": self.max_windows,
             "windows": len(self),
@@ -693,23 +698,13 @@ class TimelineRecorder:
             "running": self.running,
             "coverage": list(coverage) if coverage else None,
             "store": self._store.stats() if self._store is not None else None,
-            "metrics": [],
+            "metrics": [
+                {**entry, "points": self.series(entry["name"], since=since, until=until,
+                                                step=step, quantiles=quantiles,
+                                                **entry["labels"])}
+                for entry in self.metrics()
+            ],
         }
-        for entry in self.metrics():
-            out["metrics"].append(
-                {
-                    **entry,
-                    "points": self.series(
-                        entry["name"],
-                        since=since,
-                        until=until,
-                        step=step,
-                        quantiles=quantiles,
-                        **entry["labels"],
-                    ),
-                }
-            )
-        return out
 
     def __repr__(self) -> str:
         state = "running" if self.running else "stopped"

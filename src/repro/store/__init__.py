@@ -16,7 +16,9 @@ Pieces:
 
 - :class:`SketchStore` — the store itself: `append` windowed series,
   `query(metric, since=, until=, group_by=, **labels)` →
-  :class:`~repro.obs.timeline.RangeResult`, `iter_windows` for replay
+  :class:`~repro.obs.timeline.RangeResult` (the recorder's own range
+  fold, which also reads the store for windows older than its ring),
+  `iter_windows` for replay
   (both through a byte-bounded LRU of decoded windows), crash-tolerant
   recovery (torn tail records are dropped, counted in
   ``repro_store_tail_bytes_dropped_total``).
@@ -32,6 +34,7 @@ Pieces:
 ...     result = store.query("latency_ms", since=t0, group_by="route")
 """
 
+from ..obs.timeline import fold_partials
 from .compact import Compactor
 from .segment import (
     SEGMENT_MAGIC,
@@ -45,7 +48,6 @@ from .store import (
     SketchStore,
     decode_partial,
     encode_partial,
-    fold_partials,
 )
 
 __all__ = [

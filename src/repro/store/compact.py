@@ -37,68 +37,44 @@ import time
 from typing import Callable
 
 from ..obs.registry import MetricsRegistry, get_registry
+from ..obs.timeline import _fold_window_rows
 from .segment import SegmentReader
-from .store import SketchStore, fold_partials
+from .store import SketchStore, _Window
 
 __all__ = ["Compactor"]
 
 
-def _coarsen(windows: list[dict], coarsen_to: float) -> list[dict]:
-    """Re-bucket fine windows onto a ``coarsen_to``-second grid.
+def _coarsen(windows: list[tuple], coarsen_to: float) -> list[dict]:
+    """Re-bucket fine ``(start, end, [(name, fold row), ...])`` windows
+    onto a ``coarsen_to``-second grid.
 
     Windows must arrive oldest-first (gauge "last value" folds in
-    window order).  Bucket boundaries are epoch-aligned multiples of
-    ``coarsen_to``; each output window spans exactly one bucket.
+    window order).  Each series' rows in a bucket fold through the
+    range-read fold; the coarse entry keeps the counter total, the
+    gauge's last value or the folded partial.  Bucket boundaries are
+    epoch-aligned multiples of ``coarsen_to``; each output window spans
+    exactly one bucket.
     """
-    buckets: dict[int, dict] = {}
-    for window in windows:
-        index = int(math.floor(window["start"] / coarsen_to))
-        bucket = buckets.setdefault(
-            index,
-            {
-                "start": index * coarsen_to,
-                "end": (index + 1) * coarsen_to,
-                "series": {},
-            },
-        )
-        for entry in window["series"]:
-            key = (
-                entry["name"],
-                tuple(sorted(entry.get("labels", {}).items())),
-                entry["kind"],
-            )
-            slot = bucket["series"].get(key)
-            if slot is None:
-                slot = {
-                    "name": entry["name"],
-                    "labels": dict(entry.get("labels", {})),
-                    "kind": entry["kind"],
-                    "value": 0.0,
-                    "partials": [],
-                }
-                bucket["series"][key] = slot
-            if entry["kind"] == "counter":
-                slot["value"] += float(entry["value"])
-            elif entry["kind"] == "gauge":
-                slot["value"] = float(entry["value"])  # last in window order
-            else:
-                slot["partials"].append(entry["sketch"])
+    buckets: dict[int, dict[tuple, list]] = {}
+    for start, _, named_rows in windows:
+        series = buckets.setdefault(int(math.floor(start / coarsen_to)), {})
+        for name, row in named_rows:
+            series.setdefault((name, row[2], row[3]), []).append(row)
     out = []
-    for index in sorted(buckets):
-        bucket = buckets[index]
-        series = []
-        for slot in bucket["series"].values():
-            entry = {
-                "name": slot["name"],
-                "labels": slot["labels"],
-                "kind": slot["kind"],
-            }
-            if slot["kind"] in ("counter", "gauge"):
-                entry["value"] = slot["value"]
+    for index, series in sorted(buckets.items()):
+        entries = []
+        for (name, labels, kind), rows in series.items():
+            folded = _fold_window_rows(name, rows)
+            entry = {"name": name, "labels": dict(labels), "kind": kind}
+            if kind == "counter":
+                entry["value"] = folded.total
+            elif kind == "gauge":
+                entry["value"] = folded.last
             else:
-                entry["sketch"] = fold_partials(slot["partials"])
-            series.append(entry)
-        out.append({"start": bucket["start"], "end": bucket["end"], "series": series})
+                entry["sketch"] = folded.sketch
+            entries.append(entry)
+        out.append({"start": index * coarsen_to, "end": (index + 1) * coarsen_to,
+                    "series": entries})
     return out
 
 
@@ -215,23 +191,18 @@ class Compactor:
             by_level.setdefault(reader.level, []).append(reader)
         segments_in = windows_in = windows_out = reclaimed = 0
         for level, readers in sorted(by_level.items()):
-            fine: list[dict] = []
+            fine = []
             for reader in readers:
                 for _, record in reader.records():
-                    fine.append(
-                        {
-                            "start": float(record["start"]),
-                            "end": float(record["end"]),
-                            "series": [
-                                self._revive_entry(entry)
-                                for entry in record["series"]
-                            ],
-                        }
-                    )
+                    # Revive now and drop the record: its blobs are not
+                    # held alongside the partials decoded from them.
+                    window = _Window(record, 0)
+                    fine.append((window.start, window.end,
+                                 [(key[0], window.row(i)) for i, key in enumerate(window.keys)]))
             if not fine:
                 self.store.remove_segments(readers)
                 continue
-            fine.sort(key=lambda w: (w["start"], w["end"]))
+            fine.sort(key=lambda w: (w[0], w[1]))
             coarse = _coarsen(fine, self.coarsen_to)
             self.store.write_sealed_segment(level + 1, coarse)
             reclaimed += self.store.remove_segments(readers)
@@ -249,19 +220,6 @@ class Compactor:
                 windows_in,
             )
         return (segments_in, windows_in, windows_out, reclaimed)
-
-    @staticmethod
-    def _revive_entry(entry: dict) -> dict:
-        from .store import decode_partial
-
-        if entry["kind"] in ("histogram", "sketch"):
-            return {
-                "name": entry["name"],
-                "labels": dict(entry.get("labels", {})),
-                "kind": entry["kind"],
-                "sketch": decode_partial(entry["blob"]),
-            }
-        return dict(entry)
 
     def run_once(self, now: float | None = None) -> dict:
         """One compaction pass (decay, then expire); returns a stats dict."""

@@ -18,9 +18,14 @@ those hours' raw observations.
 - :meth:`SketchStore.query` folds every covered window for one metric
   into a :class:`~repro.obs.RangeResult`; ``group_by="label"``
   partitions the fold by that label's value — the GROUP BY read path.
+  The fold is the timeline's own, over ``(start, end, labels, kind,
+  value-or-partial)`` rows; the same rows serve
+  :meth:`~repro.obs.TimelineRecorder.query` and ``series`` for windows
+  older than the recorder's ring.
 - :meth:`SketchStore.iter_windows` replays windows oldest-first (the
   rehydration path behind
-  :meth:`~repro.obs.TimelineRecorder.attach_store`).
+  :meth:`~repro.obs.TimelineRecorder.attach_store`, which revives only
+  the windows it keeps).
 - A reopened store (``SketchStore(same_path)``) recovers sealed
   segments through their indexes and crashed/unsealed segments through
   a CRC-validated scan that drops only the torn tail record.
@@ -44,7 +49,7 @@ from ..core.base import Sketch, sketch_registry
 from ..core.exceptions import DeserializationError
 from ..core.serde import dump_sketch, load_header
 from ..obs.registry import MetricsRegistry, get_registry
-from ..obs.timeline import RangeResult, fold_partials
+from ..obs.timeline import _fold_window_rows
 from .segment import SegmentReader, SegmentWriter, series_key
 
 __all__ = ["SketchStore"]
@@ -71,6 +76,28 @@ def encode_partial(sketch: Sketch) -> bytes:
     ``sketch.to_bytes()``.
     """
     return dump_sketch(type(sketch).__name__, sketch.state_dict())
+
+
+def _wire(entry: dict) -> dict:
+    """One series entry in wire form: ``value``, or the partial as ``blob``.
+
+    ``kind`` defaults to ``"sketch"``; an unknown kind raises ``ValueError``.
+    """
+    kind = entry.get("kind", "sketch")
+    if kind not in KINDS:
+        raise ValueError(f"unknown series kind {kind!r} for {entry.get('name')!r}")
+    wire: dict[str, Any] = {
+        "name": str(entry["name"]),
+        "labels": {str(k): str(v) for k, v in (entry.get("labels") or {}).items()},
+        "kind": kind,
+    }
+    if kind in ("counter", "gauge"):
+        wire["value"] = float(entry["value"])
+    elif "blob" in entry:
+        wire["blob"] = bytes(entry["blob"])
+    else:
+        wire["blob"] = encode_partial(entry["sketch"])
+    return wire
 
 
 def decode_partial(blob: bytes) -> Sketch:
@@ -103,11 +130,18 @@ class _Window:
         self.nbytes = nbytes
 
     def sketch(self, i: int) -> Sketch:
-        """Series ``i``'s partial, decoded once (caller holds the store lock)."""
+        """Series ``i``'s partial, decoded once (a cached window's caller
+        holds the store lock)."""
         sketch = self.sketches.get(i)
         if sketch is None:
             sketch = self.sketches[i] = decode_partial(self.series[i]["blob"])
         return sketch
+
+    def row(self, i: int) -> tuple:
+        """Series ``i`` as a ``(start, end, labels-tuple, kind, value-or-partial)`` fold row."""
+        entry = self.series[i]
+        value = self.sketch(i) if "blob" in entry else float(entry["value"])
+        return (self.start, self.end, self.keys[i][1], entry["kind"], value)
 
     def entries(self, revive: bool) -> list[dict]:
         """Fresh copies of the series entries, blobs revived when asked."""
@@ -262,23 +296,7 @@ class SketchStore:
         """
         if end <= start:
             raise ValueError(f"window end must be > start, got [{start}, {end})")
-        encoded = []
-        for entry in series:
-            kind = entry.get("kind", "sketch")
-            if kind not in KINDS:
-                raise ValueError(f"unknown series kind {kind!r} for {entry.get('name')!r}")
-            wire: dict[str, Any] = {
-                "name": str(entry["name"]),
-                "labels": {str(k): str(v) for k, v in (entry.get("labels") or {}).items()},
-                "kind": kind,
-            }
-            if kind in ("counter", "gauge"):
-                wire["value"] = float(entry["value"])
-            elif "blob" in entry:
-                wire["blob"] = bytes(entry["blob"])
-            else:
-                wire["blob"] = encode_partial(entry["sketch"])
-            encoded.append(wire)
+        encoded = [_wire(entry) for entry in series]
         with self._lock:
             self._roll(float(start))
             before = self._active.nbytes
@@ -436,7 +454,7 @@ class SketchStore:
         until: float,
         label_filter: dict[str, str],
     ):
-        """``(start, end, labels-tuple, entry, partial)`` rows, time-ordered.
+        """Fold rows (see :meth:`_Window.row`) of one metric, time-ordered.
 
         A row matches when the series name equals ``metric``, its
         labels are a superset of ``label_filter``, and its window
@@ -454,44 +472,13 @@ class SketchStore:
             return {o for key in reader.keys() if matches(key) for o in reader.offsets_for(key)}
 
         rows = [
-            (window.start, window.end, key[1], window.series[i],
-             window.sketch(i) if "blob" in window.series[i] else None)
+            window.row(i)
             for window in self._read_windows(since, until, offsets_of)
             for i, key in enumerate(window.keys)
             if matches(key)
         ]
         rows.sort(key=lambda row: (row[0], row[1]))
         return rows
-
-    def _fold_rows(
-        self,
-        metric: str,
-        rows: list,
-        labels: dict,
-        since: float,
-        until: float,
-    ) -> RangeResult:
-        """Fold matching rows into one :class:`~repro.obs.RangeResult`."""
-        result = RangeResult(metric, "", labels, since, until)
-        partials = []
-        windows = set()
-        for start, end, _, entry, partial in rows:
-            windows.add((start, end))
-            result.start = start if result.start is None else min(result.start, start)
-            result.end = end if result.end is None else max(result.end, end)
-            kind = entry["kind"]
-            result.kind = kind if result.kind in ("", kind) else "mixed"
-            if kind == "counter":
-                value = float(entry["value"])
-                result.total += value
-                result.values.append((start, value))
-            elif kind == "gauge":
-                result.values.append((start, float(entry["value"])))
-            else:
-                partials.append(partial)
-        result.n_windows = len(windows)
-        result.sketch = fold_partials(partials)
-        return result
 
     def query(
         self,
@@ -524,14 +511,14 @@ class SketchStore:
         self._count("repro_store_queries_total", "Range/GROUP BY queries answered.")
         rows = self._matching_rows(metric, lo, hi, labels)
         if group_by is None:
-            return self._fold_rows(metric, rows, labels, lo, hi)
+            return _fold_window_rows(metric, rows, labels, lo, hi)
         grouped: dict[str, list] = {}
         for row in rows:
             value = dict(row[2]).get(group_by)
             if value is not None:
                 grouped.setdefault(value, []).append(row)
         return {
-            value: self._fold_rows(
+            value: _fold_window_rows(
                 metric, group_rows, {**labels, group_by: value}, lo, hi
             )
             for value, group_rows in sorted(grouped.items())
@@ -606,21 +593,9 @@ class SketchStore:
                 self._segment_path(level, windows[0]["start"]), level=level
             )
             for window in windows:
-                encoded = []
-                for entry in window["series"]:
-                    wire = {
-                        "name": entry["name"],
-                        "labels": dict(entry.get("labels") or {}),
-                        "kind": entry["kind"],
-                    }
-                    if entry["kind"] in ("counter", "gauge"):
-                        wire["value"] = float(entry["value"])
-                    elif "blob" in entry:
-                        wire["blob"] = entry["blob"]
-                    else:
-                        wire["blob"] = encode_partial(entry["sketch"])
-                    encoded.append(wire)
-                writer.append(window["start"], window["end"], encoded)
+                writer.append(
+                    window["start"], window["end"], [_wire(e) for e in window["series"]]
+                )
             writer.seal(fsync=self.fsync)
             reader = writer.reader()
             self._segments.append(reader)

@@ -330,7 +330,7 @@ class TestReadsLeavePartialsUntouched:
 
     ROUTES = ("a", "b", "c")
 
-    def test_timeline_query_and_alert_pass(self, tmp_path, monkeypatch):
+    def test_timeline_query_and_alert_pass(self, tmp_path):
         from repro.obs import (
             AlertEngine,
             ChangePointRule,
@@ -373,33 +373,34 @@ class TestReadsLeavePartialsUntouched:
                             labels=labels),
         ], registry=MetricsRegistry(), clock=lambda: clock[0])
 
-        revived = []
-        window_from_record = recorder._window_from_record
-
-        def recording(record):
-            window = window_from_record(record)
-            revived.append((window, self.snapshot([window])))
-            return window
-
-        monkeypatch.setattr(recorder, "_window_from_record", recording)
-        ring = recorder.windows()
+        ring = [(window.start, window.histograms) for window in recorder.windows()]
         before = self.snapshot(ring)
         since, until = clock[0] - 15.0, clock[0]
+        # Reads past the ring fold the store's cached partials: the ones
+        # iter_windows hands out for the windows older than the ring.
+        cutoff = ring[0][0]
+        older = [
+            (window["start"], {(e["name"], tuple(sorted(e["labels"].items()))): e["sketch"]
+                               for e in window["series"] if "sketch" in e})
+            for window in store.iter_windows(since=since, until=cutoff)
+            if window["start"] < cutoff
+        ]
+        older_before = self.snapshot(older)
         # The answers a one-window bucket gave when every fold copied.
-        covered = recorder.windows(since, until)
+        covered = older + [(window.start, window.histograms)
+                           for window in recorder.windows(since, until)]
         expected = {}
         for route in self.ROUTES:
             key = ("lat_seconds", (("route", route),))
-            for window in covered:
-                part = window.histograms[key]
+            for start, parts in covered:
+                part = parts[key]
                 caps = part._capacities()
                 assert all(len(buf) < cap for buf, cap in zip(part._compactors, caps))
                 copy = KLLSketch._merge_many_impl([part])
-                expected[route, window.start] = {
+                expected[route, start] = {
                     "count": copy.n,
                     "quantiles": {"0.5": copy.quantile(0.5), "0.99": copy.quantile(0.99)},
                 }
-        revived.clear()
 
         srv = ObsServer(port=0, registry=registry, timeline=recorder, alerts=engine)
         srv.start()
@@ -434,9 +435,8 @@ class TestReadsLeavePartialsUntouched:
         for window, i, sketch in cached:
             assert encode_partial(sketch) == window.series[i]["blob"]
         assert self.snapshot(ring) == before
-        assert revived
-        for window, blobs in revived:
-            assert self.snapshot([window]) == blobs
+        assert older
+        assert self.snapshot(older) == older_before
         for doc in polls:
             for series in doc["series"]:
                 points = series["points"]
@@ -447,8 +447,8 @@ class TestReadsLeavePartialsUntouched:
 
     @staticmethod
     def snapshot(windows) -> list:
-        return [(window.start, key, part.to_bytes())
-                for window in windows for key, part in sorted(window.histograms.items())]
+        return [(start, key, part.to_bytes())
+                for start, parts in windows for key, part in sorted(parts.items())]
 
 
 class TestErrorEnvelope:

@@ -220,6 +220,27 @@ class TestReplay:
         assert _counter_value(fresh_registry, "repro_store_windows_replayed_total") == 3.0
         store.close()
 
+    def test_replay_decodes_only_the_kept_windows(self, rig, monkeypatch):
+        import repro.store.store as store_module
+
+        registry, rec, store, clock = rig
+        _feed(registry, rec, clock, 10)
+        rec.detach_store()
+        store.flush()
+        decoded = []
+        decode = store_module.decode_partial
+        monkeypatch.setattr(store_module, "decode_partial",
+                            lambda blob: decoded.append(blob) or decode(blob))
+        cold = SketchStore(store.path, partition_seconds=8.0, registry=MetricsRegistry())
+        reborn = TimelineRecorder(
+            registry=MetricsRegistry(), interval=1.0, max_windows=4, clock=clock
+        )
+        reborn.attach_store(cold, replay=True)
+        kept = [part for window in reborn.windows() for part in window.histograms.values()]
+        assert len(kept) == 4  # one "lat" partial per kept window
+        assert len(decoded) == len(kept)
+        assert reborn.query("lat").count == 4 * 200
+
     def test_replay_false_and_nonempty_ring_skip_rehydration(self, rig):
         registry, rec, store, clock = rig
         _feed(registry, rec, clock, 3)

@@ -2,10 +2,13 @@
 
 The property mirrors the live timeline's
 ``test_range_quantiles_within_rank_error_bound``, then pushes it
-through the two things only the store can do — a process restart
-(reopen the directory) and TTL/decay compaction of aged windows — and
-demands the same bound each time.  KLL merges add no rank error, so
-persistence and compaction must be rank-neutral.
+through what only the store can do — a process restart (reopen the
+directory), TTL/decay compaction of aged windows, and recovery from a
+torn segment tail — and demands the same bound each time, plus
+agreement with a fresh single sketch over the same values within 2x
+the bound.  KLL merges add no rank error, so persistence and
+compaction must be rank-neutral.  This is the store round-trip gate CI
+runs.
 """
 
 import numpy as np
@@ -18,6 +21,7 @@ from repro.store import Compactor, SketchStore
 EPS = 0.02  # KLL k=200 rank error is well under 2%; merges/serde add none
 WINDOWS = 12
 PER_WINDOW = 4_000
+QUANTILES = (0.5, 0.9, 0.99)
 
 
 class ManualClock:
@@ -63,30 +67,45 @@ def recorded(tmp_path):
     return str(tmp_path / "db"), boundaries, per_window
 
 
-def _assert_rank_bound(store, boundaries, per_window, seed):
-    check_rng = np.random.default_rng(seed)
-    for _ in range(10):
-        i = int(check_rng.integers(0, WINDOWS - 1))
-        j = int(check_rng.integers(i + 1, WINDOWS + 1))
+def _random_ranges(seed, n=12):
+    rng = np.random.default_rng(seed)
+    ranges = []
+    for _ in range(n):
+        i = int(rng.integers(0, WINDOWS - 1))
+        ranges.append((i, int(rng.integers(i + 1, WINDOWS + 1))))
+    return ranges
+
+
+def _assert_rank_bound(store, boundaries, per_window, ranges):
+    """Each range's quantiles: within EPS of the raw rank, and within 2x
+    EPS of a fresh single sketch fed the same raw values."""
+    for i, j in ranges:
         t0, t1 = boundaries[i], boundaries[j]
         raw = np.concatenate(per_window[i:j])
         fresh = KLLSketch(k=200, seed=1)
         fresh.update_many(raw)
         result = store.query("lat", since=t0, until=t1)
         assert result.count == len(raw), (i, j)
-        for q in (0.5, 0.99):
+        for q in QUANTILES:
             est = result.quantile(q)
             rank = float(np.mean(raw <= est))
             assert abs(rank - q) <= EPS, (i, j, q, rank)
             fresh_rank = float(np.mean(raw <= fresh.quantile(q)))
-            assert abs(rank - fresh_rank) <= 2 * EPS
+            assert abs(rank - fresh_rank) <= 2 * EPS, (i, j, q, rank, fresh_rank)
+
+
+def _counter_value(registry, name):
+    for metric in registry.iter_metrics():
+        if metric.name == name:
+            return metric.value
+    return 0.0
 
 
 class TestRoundTripParity:
     def test_persisted_ranges_match_raw_within_bound(self, recorded):
         path, boundaries, per_window = recorded
         store = SketchStore(path, partition_seconds=4.0, registry=MetricsRegistry())
-        _assert_rank_bound(store, boundaries, per_window, seed=7)
+        _assert_rank_bound(store, boundaries, per_window, _random_ranges(seed=7))
 
     def test_parity_survives_process_restart(self, recorded):
         path, boundaries, per_window = recorded
@@ -97,7 +116,7 @@ class TestRoundTripParity:
         first.close()
         # restart #2: the bound still holds
         second = SketchStore(path, partition_seconds=4.0, registry=MetricsRegistry())
-        _assert_rank_bound(second, boundaries, per_window, seed=11)
+        _assert_rank_bound(second, boundaries, per_window, _random_ranges(seed=11))
 
     def test_parity_survives_decay_compaction(self, recorded):
         path, boundaries, per_window = recorded
@@ -117,14 +136,29 @@ class TestRoundTripParity:
 
         # coarse windows snap query ranges outward to the 4 s grid, so
         # check on grid-aligned ranges where coverage is exact
-        for i, j in [(0, 4), (4, 8), (8, 12), (0, 8), (4, 12), (0, 12)]:
-            raw = np.concatenate(per_window[i:j])
-            result = store.query("lat", since=boundaries[i], until=boundaries[j])
-            assert result.count == len(raw), (i, j)
-            for q in (0.5, 0.99):
-                est = result.quantile(q)
-                rank = float(np.mean(raw <= est))
-                assert abs(rank - q) <= EPS, (i, j, q, rank)
+        aligned = [(0, 4), (4, 8), (8, 12), (0, 8), (4, 12), (0, 12)]
+        _assert_rank_bound(store, boundaries, per_window, aligned)
+
+    def test_torn_tail_leaves_earlier_segments_readable(self, recorded):
+        path, boundaries, per_window = recorded
+        registry = MetricsRegistry()
+        crash = SketchStore(path, partition_seconds=1e9, registry=registry)
+        sketch = KLLSketch(k=200, seed=2)
+        sketch.update_many(np.arange(1_000, dtype=float))
+        for i in range(3):
+            crash.append(float(i), float(i + 1),
+                         [{"name": "crash_lat", "kind": "sketch", "sketch": sketch}])
+        crash.flush()
+        # the process dies mid-append: torn bytes, no seal
+        with open(crash._active.path, "ab") as fh:
+            fh.write(b"\x01\xde\xad torn tail: process died mid-append")
+
+        reopened = SketchStore(path, partition_seconds=1e9, registry=registry)
+        assert reopened.query("crash_lat").count == 3_000
+        assert _counter_value(registry, "repro_store_tail_bytes_dropped_total") > 0
+        # the recorded segments before the torn one still answer in full
+        assert reopened.query("lat").count == WINDOWS * PER_WINDOW
+        _assert_rank_bound(reopened, boundaries, per_window, _random_ranges(seed=13))
 
     def test_replay_rehydrates_a_recorder_with_parity(self, recorded):
         path, boundaries, per_window = recorded
@@ -138,6 +172,6 @@ class TestRoundTripParity:
         raw = np.concatenate(per_window)
         result = rec.query("lat")
         assert result.count == len(raw)
-        for q in (0.5, 0.99):
+        for q in QUANTILES:
             rank = float(np.mean(raw <= result.quantile(q)))
             assert abs(rank - q) <= EPS
