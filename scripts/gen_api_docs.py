@@ -6,7 +6,8 @@ import inspect
 import os
 
 PACKAGES = [
-    "repro.hashing", "repro.core", "repro.core.batch", "repro.workloads",
+    "repro.hashing", "repro.core", "repro.core.serde", "repro.core.batch",
+    "repro.workloads",
     "repro.counting", "repro.cardinality", "repro.membership",
     "repro.frequency", "repro.quantiles", "repro.moments",
     "repro.sampling", "repro.dimreduction", "repro.lsh",
@@ -23,7 +24,7 @@ PACKAGES = [
 #: modules whose full docstring goes into the reference (they document a
 #: cross-cutting protocol, not just a container of names).
 FULL_DOC = {
-    "repro.core.batch", "repro.parallel",
+    "repro.core.serde", "repro.core.batch", "repro.parallel",
     "repro.streaming",
     "repro.concurrent", "repro.obs",
     "repro.obs.trace", "repro.obs.audit", "repro.obs.http",

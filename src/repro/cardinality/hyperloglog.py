@@ -34,6 +34,7 @@ import numpy as np
 
 from ..core import Estimate, MergeableSketch, z_score
 from ..core.batch import canonical_keys, hll_registers, register_update
+from ..core.serde import Layout
 from ..hashing import HashFunction
 from .loglog import rho64
 
@@ -70,6 +71,8 @@ class HyperLogLog(MergeableSketch):
     seed:
         Hash seed; merging requires equal ``(p, seed)``.
     """
+
+    wire_layout = Layout(p="B", seed="q", registers=np.uint8)
 
     def __init__(self, p: int = 12, seed: int = 0) -> None:
         if not 4 <= p <= 18:

@@ -42,7 +42,7 @@ from ..obs.registry import get_registry as _get_registry
 from ..obs.trace import TRACE as _TRACE
 from ..obs.trace import get_tracer as _get_tracer
 from .exceptions import DeserializationError, IncompatibleSketchError
-from .serde import blob_nbytes, dump_sketch, load_header
+from .serde import LAYOUTS, blob_nbytes, dump_sketch, load_header
 
 __all__ = [
     "Sketch",
@@ -129,6 +129,10 @@ _INSTRUMENTED_OPS = ("update", "update_many", "merge")
 class Sketch(ABC):
     """Base interface: update with items, query, serialize."""
 
+    #: the family's fixed wire layout (:class:`repro.core.serde.Layout`),
+    #: taken only from the class body that declares it.
+    wire_layout = None
+
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         # Register concrete classes only; ABCs stay out of the registry.
@@ -143,6 +147,11 @@ class Sketch(ABC):
         )
         if not is_abstract:
             sketch_registry[cls.__name__] = cls
+        # A fixed wire layout belongs to the class that declares it in
+        # its own body; subclasses (HLL++ under HLL) stay generic.
+        layout = cls.__dict__.get("wire_layout")
+        if layout is not None:
+            LAYOUTS[cls.__name__] = layout
         # Thread the obs shim through this class's own kernel
         # definitions (inherited methods were wrapped where defined).
         for op in _INSTRUMENTED_OPS:

@@ -1,23 +1,59 @@
 """Versioned binary serialization for sketches.
 
 Every sketch supports ``to_bytes()`` / ``Class.from_bytes(buf)`` and the
-generic :func:`loads`, which dispatches on the class name recorded in the
+generic :func:`repro.from_bytes_any`, which dispatches on the class name in the
 header.  The wire format is:
 
     magic ``b"RPRO"`` | format version (u16) | class-name (str) | payload
 
-The payload is the sketch's ``state_dict()`` encoded with a small typed
-binary encoder (:func:`encode_value` / :func:`decode_value`) supporting
-``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes``, ``list``,
-``tuple``, ``dict`` and numpy arrays.  The encoder is self-describing, so
-format evolution only needs key-level compatibility.
+The payload takes one of two forms, told apart by its first byte:
+
+- **generic** — the sketch's ``state_dict()`` encoded with a small typed
+  binary encoder (:func:`encode_value` / :func:`decode_value`) supporting
+  ``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes``, ``list``,
+  ``tuple``, ``dict`` and numpy arrays (type tags 0–10).  The encoder is
+  self-describing, so format evolution only needs key-level
+  compatibility.
+- **fixed layout** — type tag 11, then the family's int fields packed
+  in one little-endian ``struct``, then ``u32 count | count × u32
+  lengths`` and the raw bytes of its arrays, back to back.  This is the
+  shape of an Apache DataSketches compact image: a fixed preamble plus
+  raw arrays, decoded without a per-value tag walk.  A family declares
+  its :class:`Layout` as ``wire_layout`` in its own class body, and the
+  layout is keyed by that exact class name, so a subclass never
+  inherits it (``HyperLogLogPlusPlus`` stays generic).
+
+==================  ===============================  ==================
+family              struct (after tag 11)            arrays (length =
+                                                     element count)
+==================  ===============================  ==================
+``KLLSketch``       k u32, seed i64, n i64,          ``compactors``: one
+``ReqSketch``       rng_state u64                    float64 per level
+``HyperLogLog``     p u8, seed i64                   ``registers``: one
+                                                     uint8 array
+==================  ===============================  ==================
+
+:func:`load_header` reads a layout blob back into the same state dict
+the generic path yields, so ``from_state_dict`` validates both alike.
+A state that does not fit its layout — a missing or extra key, an int
+outside its struct field (a seed ≥ 2⁶³, a boolean), an array of another
+dtype or ndim, a tuple of levels — is written generically, and so is
+every family without a layout.  Blobs written before the layout existed
+decode unchanged: the tag, not a ``FORMAT_VERSION`` bump, selects the
+form, so readers never reject an unchanged family's blob.
+
+Downgrade note: a reader older than the fixed layout rejects a layout
+blob with ``DeserializationError("unknown type tag 11")``; it never
+misreads one.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import struct
+from itertools import accumulate
 
 import numpy as np
 
@@ -26,6 +62,7 @@ from .exceptions import DeserializationError
 __all__ = [
     "MAGIC",
     "FORMAT_VERSION",
+    "Layout",
     "encode_value",
     "decode_value",
     "dump_sketch",
@@ -50,10 +87,15 @@ _T_LIST = 7
 _T_DICT = 8
 _T_NDARRAY = 9
 _T_TUPLE = 10
+_T_LAYOUT = 11
+_LAYOUT_TAG = bytes([_T_LAYOUT])
 
+_TAG_LEN = struct.Struct("<BQ").pack  # type tag + u64 length
+_TAG_FLOAT = struct.Struct("<Bd").pack
+_U32 = struct.Struct("<I")
 
-def _write_len(out: io.BytesIO, n: int) -> None:
-    out.write(struct.pack("<Q", n))
+#: fixed layouts by exact class name (filled by ``Sketch.__init_subclass__``).
+LAYOUTS: dict[str, "Layout"] = {}
 
 
 def _read_len(buf: io.BytesIO, per_item: int = 1) -> int:
@@ -79,62 +121,84 @@ def _read_len(buf: io.BytesIO, per_item: int = 1) -> int:
     return n
 
 
+# -- generic encoder: one function per exact type ------------------------------
+
+
+def _enc_int(value, write) -> None:
+    raw = value.to_bytes((value.bit_length() + 8) // 8 + 1, "little", signed=True)
+    write(_TAG_LEN(_T_INT, len(raw)))
+    write(raw)
+
+
+def _enc_str(value, write) -> None:
+    raw = value.encode("utf-8")
+    write(_TAG_LEN(_T_STR, len(raw)))
+    write(raw)
+
+
+def _enc_bytes(value, write) -> None:
+    write(_TAG_LEN(_T_BYTES, len(value)))
+    write(value)
+
+
+def _enc_ndarray(value, write) -> None:
+    dtype = value.dtype.str.encode("ascii")
+    write(_TAG_LEN(_T_NDARRAY, len(dtype)) + dtype)
+    write(struct.pack(f"<{value.ndim + 2}Q", value.ndim, *value.shape, value.nbytes))
+    write(np.ascontiguousarray(value))  # the buffer itself, in C order
+
+
+def _enc_seq(tag: int):
+    def encode(value, write) -> None:
+        write(_TAG_LEN(tag, len(value)))
+        for part in value:  # _encode inlined: this runs once per element
+            (_ENCODERS.get(type(part)) or _subclass_encoder(part))(part, write)
+
+    return encode
+
+
+def _enc_dict(value, write) -> None:
+    write(_TAG_LEN(_T_DICT, len(value)))
+    for key, part in value.items():
+        if not isinstance(key, str):
+            raise TypeError(f"state dict keys must be str, got {type(key)!r}")
+        _enc_str(key, write)
+        (_ENCODERS.get(type(part)) or _subclass_encoder(part))(part, write)
+
+
+_ENCODERS = {
+    type(None): lambda value, write: write(b"\x00"),
+    bool: lambda value, write: write(b"\x02" if value else b"\x01"),
+    int: _enc_int,
+    float: lambda value, write: write(_TAG_FLOAT(_T_FLOAT, value)),
+    str: _enc_str,
+    bytes: _enc_bytes,
+    bytearray: _enc_bytes,
+    np.ndarray: _enc_ndarray,
+    list: _enc_seq(_T_LIST),
+    tuple: _enc_seq(_T_TUPLE),
+    dict: _enc_dict,
+}
+
+def _subclass_encoder(value):
+    """The encoder of a subclass of an ``_ENCODERS`` type, or of a numpy scalar."""
+    for base, encode in _ENCODERS.items():  # the generic format's order
+        if isinstance(value, base):
+            return encode
+    if isinstance(value, np.integer):
+        return lambda value, write: _enc_int(int(value), write)
+    if isinstance(value, np.floating):
+        return lambda value, write: _ENCODERS[float](float(value), write)
+    raise TypeError(f"cannot serialize value of type {type(value).__name__!r}")
+
+
+def _encode(value: object, write) -> None:
+    (_ENCODERS.get(type(value)) or _subclass_encoder(value))(value, write)
+
+
 def encode_value(value: object, out: io.BytesIO) -> None:
     """Append the typed binary encoding of ``value`` to ``out``."""
-    if value is None:
-        out.write(bytes([_T_NONE]))
-    elif value is False:
-        out.write(bytes([_T_FALSE]))
-    elif value is True:
-        out.write(bytes([_T_TRUE]))
-    elif isinstance(value, int):
-        out.write(bytes([_T_INT]))
-        raw = value.to_bytes((value.bit_length() + 8) // 8 + 1, "little", signed=True)
-        _write_len(out, len(raw))
-        out.write(raw)
-    elif isinstance(value, float):
-        out.write(bytes([_T_FLOAT]))
-        out.write(struct.pack("<d", value))
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.write(bytes([_T_STR]))
-        _write_len(out, len(raw))
-        out.write(raw)
-    elif isinstance(value, (bytes, bytearray)):
-        out.write(bytes([_T_BYTES]))
-        _write_len(out, len(value))
-        out.write(bytes(value))
-    elif isinstance(value, np.ndarray):
-        out.write(bytes([_T_NDARRAY]))
-        dtype_name = value.dtype.str
-        raw = dtype_name.encode("ascii")
-        _write_len(out, len(raw))
-        out.write(raw)
-        _write_len(out, value.ndim)
-        for dim in value.shape:
-            _write_len(out, dim)
-        data = np.ascontiguousarray(value).tobytes()
-        _write_len(out, len(data))
-        out.write(data)
-    elif isinstance(value, (list, tuple)):
-        out.write(bytes([_T_LIST if isinstance(value, list) else _T_TUPLE]))
-        _write_len(out, len(value))
-        for part in value:
-            encode_value(part, out)
-    elif isinstance(value, dict):
-        out.write(bytes([_T_DICT]))
-        _write_len(out, len(value))
-        for key, part in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"state dict keys must be str, got {type(key)!r}")
-            encode_value(key, out)
-            encode_value(part, out)
-    elif isinstance(value, (np.integer,)):
-        encode_value(int(value), out)
-    elif isinstance(value, (np.floating,)):
-        encode_value(float(value), out)
-    else:
-        raise TypeError(f"cannot serialize value of type {type(value).__name__!r}")
+    _encode(value, out.write)
 
 
 def decode_value(buf: io.BytesIO) -> object:
@@ -211,48 +275,128 @@ def decode_value(buf: io.BytesIO) -> object:
     raise DeserializationError(f"unknown type tag {tag}")
 
 
+# -- fixed layouts ---------------------------------------------------------------
+
+
+class Layout:
+    """A family's fixed wire layout: int fields in one struct, one array field raw.
+
+    Keyword arguments list the state dict's keys in order.  A ``struct``
+    code (``"I"``, ``"q"``, ...) makes an int field; a dtype makes one
+    1-D array field, and ``[dtype]`` a list of 1-D arrays.  Exactly one
+    array field is allowed.
+    """
+
+    def __init__(self, **fields) -> None:
+        self.keys = tuple(fields)
+        self.names = tuple(k for k, v in fields.items() if isinstance(v, str))
+        (self.key,) = (k for k, v in fields.items() if not isinstance(v, str))
+        spec = fields[self.key]
+        self.many = isinstance(spec, list)
+        self.dtype = np.dtype(spec[0] if self.many else spec).newbyteorder("<")
+        self.struct = struct.Struct("<" + "".join(fields[k] for k in self.names))
+        self._at = self.keys.index(self.key)
+
+    def fit(self, state: dict) -> tuple[bytes, list] | None:
+        """``(packed struct, arrays)`` when ``state`` fits this layout, else None."""
+        if len(state) != len(self.keys):
+            return None
+        try:
+            values = [state[k] for k in self.names]
+            arrays = state[self.key] if self.many else [state[self.key]]
+        except KeyError:
+            return None
+        if (self.many and type(arrays) is not list) or any(
+            type(v) is not int for v in values
+        ):
+            return None
+        for array in arrays:
+            if (
+                type(array) is not np.ndarray
+                or array.ndim != 1
+                or array.dtype != self.dtype
+                or len(array) > 0xFFFFFFFF
+            ):
+                return None
+        try:
+            return self.struct.pack(*values), arrays
+        except struct.error:
+            return None
+
+    def pack(self, state: dict) -> bytes | None:
+        """Tag 11 plus the layout body, or None when ``state`` does not fit."""
+        fit = self.fit(state)
+        if fit is None:
+            return None
+        head, arrays = fit
+        table = struct.pack(f"<I{len(arrays)}I", len(arrays), *map(len, arrays))
+        return b"".join([_LAYOUT_TAG, head, table, *(array.tobytes() for array in arrays)])
+
+    def blob_nbytes(self, class_name: str, lengths: list[int]) -> int:
+        """Size of a whole layout blob of ``class_name`` over arrays of ``lengths`` elements."""
+        table = 4 + 4 * len(lengths)
+        data = self.dtype.itemsize * sum(lengths)
+        return len(_header(class_name)) + 1 + self.struct.size + table + data
+
+    def unpack(self, data: bytes, pos: int) -> dict:
+        """The state dict of the layout body at ``data[pos:]`` (after its tag)."""
+        size = len(data)
+        end = pos + self.struct.size + 4
+        if end > size:
+            raise DeserializationError("truncated fixed-layout header")
+        values = self.struct.unpack_from(data, pos)
+        count = _U32.unpack_from(data, end - 4)[0]
+        if (count != 1 and not self.many) or 4 * count > size - end:
+            raise DeserializationError(
+                f"corrupt fixed layout: {count} arrays in {size - end} bytes"
+            )
+        lengths = struct.unpack_from(f"<{count}I", data, end)
+        end += 4 * count
+        total = sum(lengths)
+        if total * self.dtype.itemsize != size - end:
+            raise DeserializationError(
+                f"corrupt fixed layout: length table claims "
+                f"{total * self.dtype.itemsize} bytes, {size - end} remain"
+            )
+        arrays = np.frombuffer(data, self.dtype, total, end).copy()
+        if self.many:
+            bounds = list(accumulate(lengths, initial=0))
+            arrays = [arrays[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        items = list(zip(self.names, values))
+        items.insert(self._at, (self.key, arrays))
+        return dict(items)
+
+
+@functools.lru_cache(maxsize=256)
+def _header(class_name: str) -> bytes:
+    """Magic, format version and the encoded class name."""
+    out = io.BytesIO()
+    out.write(MAGIC)
+    out.write(struct.pack("<H", FORMAT_VERSION))
+    encode_value(class_name, out)
+    return out.getvalue()
+
+
 def encoded_nbytes(value: object) -> int:
     """Exact size of :func:`encode_value`'s output, without building it.
 
-    Mirrors the encoder case-for-case; the ndarray branch is the point —
-    it charges ``value.nbytes`` straight off the live buffer instead of
-    copying the data through ``tobytes()``, so sizing a sketch's state
-    is allocation-free.  This is the engine behind the
-    ``memory_footprint()`` protocol's serde-size fallback.
+    Runs the encoder into a writer that only counts: arrays hand over
+    their buffers, so sizing a sketch's state copies no data.  This is
+    the engine behind the ``memory_footprint()`` protocol's serde-size
+    fallback.
     """
-    if value is None or value is False or value is True:
-        return 1
-    if isinstance(value, (bool, np.bool_)):
-        return 1
-    if isinstance(value, (int, np.integer)):
-        return 1 + 8 + (int(value).bit_length() + 8) // 8 + 1
-    if isinstance(value, (float, np.floating)):
-        return 1 + 8
-    if isinstance(value, str):
-        return 1 + 8 + len(value.encode("utf-8"))
-    if isinstance(value, (bytes, bytearray)):
-        return 1 + 8 + len(value)
-    if isinstance(value, np.ndarray):
-        return (
-            1
-            + 8 + len(value.dtype.str.encode("ascii"))
-            + 8  # ndim
-            + 8 * value.ndim
-            + 8  # byte count
-            + value.nbytes
-        )
-    if isinstance(value, (list, tuple)):
-        return 1 + 8 + sum(encoded_nbytes(part) for part in value)
-    if isinstance(value, dict):
-        return 1 + 8 + sum(
-            encoded_nbytes(key) + encoded_nbytes(part) for key, part in value.items()
-        )
-    raise TypeError(f"cannot size value of type {type(value).__name__!r}")
+    sizes = []
+    _encode(value, lambda chunk: sizes.append(memoryview(chunk).nbytes))
+    return sum(sizes)
 
 
 def blob_nbytes(class_name: str, state: dict) -> int:
-    """Exact ``len(dump_sketch(class_name, state))`` without serializing."""
-    return len(MAGIC) + 2 + encoded_nbytes(class_name) + encoded_nbytes(state)
+    """Exact ``len(dump_sketch(class_name, state))``; arrays are sized, not copied."""
+    layout = LAYOUTS.get(class_name)
+    fit = None if layout is None else layout.fit(state)
+    if fit is not None:
+        return layout.blob_nbytes(class_name, [len(array) for array in fit[1]])
+    return len(_header(class_name)) + encoded_nbytes(state)
 
 
 #: Mersenne Twister state length: 624 state words plus the position.
@@ -336,11 +480,17 @@ def unpack_rng_state(value: object) -> tuple:
 
 
 def dump_sketch(class_name: str, state: dict) -> bytes:
-    """Serialize a sketch's state dict under the versioned header."""
+    """Serialize a sketch's state dict under the versioned header.
+
+    The family's fixed layout when it has one and ``state`` fits it,
+    the generic typed encoding otherwise.
+    """
+    layout = LAYOUTS.get(class_name)
+    body = None if layout is None else layout.pack(state)
+    if body is not None:
+        return _header(class_name) + body
     out = io.BytesIO()
-    out.write(MAGIC)
-    out.write(struct.pack("<H", FORMAT_VERSION))
-    encode_value(class_name, out)
+    out.write(_header(class_name))
     encode_value(state, out)
     return out.getvalue()
 
@@ -361,6 +511,14 @@ def load_header(data: bytes) -> tuple[str, dict]:
     class_name = decode_value(buf)
     if not isinstance(class_name, str):
         raise DeserializationError("corrupt header: class name is not a string")
+    pos = buf.tell()
+    if data[pos : pos + 1] == _LAYOUT_TAG:
+        layout = LAYOUTS.get(class_name)
+        if layout is None:
+            raise DeserializationError(
+                f"type tag {_T_LAYOUT} under {class_name!r}, which has no fixed layout"
+            )
+        return class_name, layout.unpack(data, pos + 1)
     state = decode_value(buf)
     if not isinstance(state, dict):
         raise DeserializationError("corrupt payload: state is not a dict")

@@ -487,7 +487,8 @@ class TimelineRecorder:
         into the ring first — so after a restart the ``/dashboard``
         sparklines and ring-resolution queries pick up where the dead
         process left off (``repro_store_windows_replayed_total`` counts
-        them).  Only the kept windows' partials are decoded.  Once
+        them).  Only the kept windows are read and only their partials
+        decoded (:meth:`SketchStore.since_for_newest`).  Once
         attached, :meth:`query` and :meth:`series` with an explicit
         ``since`` also reach past the ring into the store's older history.
         """
@@ -499,7 +500,9 @@ class TimelineRecorder:
                 empty = not self._windows
             if not empty:
                 return self
-            kept = deque(store.iter_windows(revive=False), maxlen=self.max_windows)
+            since = store.since_for_newest(self.max_windows)
+            records = store.iter_windows(since=since, revive=False)
+            kept = deque(records, maxlen=self.max_windows)
             replayed = [self._window_from_record(record) for record in kept]
             with self._lock:
                 if not self._windows:  # still empty: publish the history

@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from ..core.exceptions import DeserializationError
-from ..core.serde import encoded_nbytes, unpack_rng_state
+from ..core.serde import Layout, unpack_rng_state
 from .base import QuantileSketch
 
 __all__ = ["KLLSketch"]
@@ -70,9 +70,11 @@ class Coins:
         return cls(value)
 
 
-#: wire bytes of one compactor level besides its 8 B values: the
-#: ndarray tag, dtype string, shape and byte count.
-LEVEL_WIRE_OVERHEAD = encoded_nbytes(np.empty(0, dtype=np.float64))
+#: fixed wire layout of a compactor-stack state (KLL and REQ): four
+#: ints in one struct, then each level's float64 values raw.
+COMPACTOR_LAYOUT = Layout(
+    k="I", seed="q", n="q", compactors=[np.float64], rng_state="Q"
+)
 
 
 def levels_to_state(compactors: list) -> list:
@@ -96,9 +98,12 @@ def levels_from_state(levels) -> list:
 
 
 def footprint_of(sketch) -> int:
-    """Wire size of a compactor-stack sketch: levels + the encoded coin-state int."""
-    stored = sum(LEVEL_WIRE_OVERHEAD + 8 * len(buf) for buf in sketch._compactors)
-    return 128 + stored + encoded_nbytes(sketch._coins.state)
+    """Wire size of a compactor-stack sketch: its fixed layout over the live levels.
+
+    Exact (``len(sketch.to_bytes())``) whenever the state fits the layout.
+    """
+    lengths = [len(buf) for buf in sketch._compactors]
+    return COMPACTOR_LAYOUT.blob_nbytes(type(sketch).__name__, lengths)
 
 
 def bulk_insert(sketch, values) -> int:
@@ -169,6 +174,8 @@ class KLLSketch(QuantileSketch):
 
     Reads bisect a sorted view (:func:`sorted_view`) cached until the next mutation.
     """
+
+    wire_layout = COMPACTOR_LAYOUT
 
     def __init__(self, k: int = 200, seed: int = 0) -> None:
         if k < 8:

@@ -24,8 +24,8 @@ E6's suite and tested below), the exact constants are not.
 from __future__ import annotations
 
 from .base import QuantileSketch
-from .kll import Coins, bulk_insert, footprint_of, levels_from_state, levels_to_state
-from .kll import sorted_view, view_quantile, view_rank
+from .kll import COMPACTOR_LAYOUT, Coins, bulk_insert, footprint_of, levels_from_state
+from .kll import levels_to_state, sorted_view, view_quantile, view_rank
 
 __all__ = ["ReqSketch"]
 
@@ -42,6 +42,8 @@ class ReqSketch(QuantileSketch):
 
     Reads bisect the cached sorted view shared with :class:`KLLSketch`.
     """
+
+    wire_layout = COMPACTOR_LAYOUT
 
     def __init__(self, k: int = 64, seed: int = 0) -> None:
         if k < 8 or k % 2:

@@ -431,6 +431,13 @@ class SegmentReader:
             ]
         return list(wanted)
 
+    def windows(self) -> list[tuple[float, float]] | None:
+        """``(start, end)`` of every record, or None when the index does not place them."""
+        self.load()
+        if self.n_records and not self._windows:
+            return None
+        return list(self._windows.values())
+
     def records(
         self,
         offsets: list[int] | None = None,

@@ -37,6 +37,7 @@ query traffic show up on the very dashboard it persists.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 import re
@@ -548,6 +549,26 @@ class SketchStore:
             with self._lock:
                 series = window.entries(revive)
             yield {"start": window.start, "end": window.end, "series": series}
+
+    def since_for_newest(self, n: int) -> float:
+        """A ``since`` under which :meth:`iter_windows` still yields the newest ``n`` windows.
+
+        Read off the segment indexes' per-record ``(start, end)``: just
+        below the least end among the newest ``n`` windows, so a replay
+        never decodes the older records.  A segment whose index does not
+        place its records (one sealed before the index listed windows)
+        is read in full: the bound drops below its start.
+        """
+        known, floor = [], math.inf
+        with self._lock:
+            for reader in self._readers():
+                spans = reader.windows()
+                if spans is None:
+                    floor = min(floor, reader.start)
+                else:
+                    known.extend(spans)
+        ends = (end for _, end in heapq.nlargest(n, known))
+        return math.nextafter(min(floor, *ends, math.inf), -math.inf)
 
     # -- compaction support (used by repro.store.compact) ----------------------
 

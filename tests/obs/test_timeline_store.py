@@ -231,7 +231,8 @@ class TestReplay:
         decode = store_module.decode_partial
         monkeypatch.setattr(store_module, "decode_partial",
                             lambda blob: decoded.append(blob) or decode(blob))
-        cold = SketchStore(store.path, partition_seconds=8.0, registry=MetricsRegistry())
+        cold_registry = MetricsRegistry()
+        cold = SketchStore(store.path, partition_seconds=8.0, registry=cold_registry)
         reborn = TimelineRecorder(
             registry=MetricsRegistry(), interval=1.0, max_windows=4, clock=clock
         )
@@ -239,7 +240,28 @@ class TestReplay:
         kept = [part for window in reborn.windows() for part in window.histograms.values()]
         assert len(kept) == 4  # one "lat" partial per kept window
         assert len(decoded) == len(kept)
+        # 10 windows persisted; the index bounds the read to the 4 kept.
+        assert _counter_value(cold_registry, "repro_store_windows_read_total") == 4.0
         assert reborn.query("lat").count == 4 * 200
+
+    def test_replay_reads_all_of_a_segment_without_window_index(self, rig, monkeypatch):
+        import repro.store.segment as segment_module
+
+        registry, rec, store, clock = rig
+        _feed(registry, rec, clock, 10)
+        rec.detach_store()
+        store.close()
+        # Segments sealed before the index listed windows: nothing places
+        # their records, so replay reads every one and keeps the newest.
+        monkeypatch.setattr(segment_module, "_windows_of", lambda value, n: {})
+        cold_registry = MetricsRegistry()
+        cold = SketchStore(store.path, partition_seconds=8.0, registry=cold_registry)
+        reborn = TimelineRecorder(
+            registry=MetricsRegistry(), interval=1.0, max_windows=4, clock=clock
+        )
+        reborn.attach_store(cold, replay=True)
+        assert reborn.coverage() == (1006.0, 1010.0)
+        assert _counter_value(cold_registry, "repro_store_windows_read_total") == 10.0
 
     def test_replay_false_and_nonempty_ring_skip_rehydration(self, rig):
         registry, rec, store, clock = rig
