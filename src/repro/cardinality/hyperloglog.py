@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from ..core import Estimate, MergeableSketch, z_score
+from ..core import DeserializationError, Estimate, MergeableSketch, z_score
 from ..core.batch import canonical_keys, hll_registers, register_update
 from ..core.serde import Layout
 from ..hashing import HashFunction
@@ -171,7 +171,13 @@ class HyperLogLog(MergeableSketch):
     @classmethod
     def from_state_dict(cls, state: dict) -> "HyperLogLog":
         sk = cls(p=state["p"], seed=state["seed"])
-        sk._registers = state["registers"].astype(np.uint8)
+        registers = state["registers"]
+        if registers.shape != (sk.m,):
+            raise DeserializationError(
+                f"corrupt {cls.__name__} state: {registers.shape} registers, "
+                f"expected ({sk.m},) for p={sk.p}"
+            )
+        sk._registers = registers.astype(np.uint8)
         return sk
 
 
@@ -372,8 +378,7 @@ class HyperLogLogPlusPlus(HyperLogLog):
 
     @classmethod
     def from_state_dict(cls, state: dict) -> "HyperLogLogPlusPlus":
-        sk = cls(p=state["p"], seed=state["seed"])
-        sk._registers = state["registers"].astype(np.uint8)
+        sk = super().from_state_dict(state)
         if "sparse_keys" in state:
             sk._sparse = dict(
                 zip(

@@ -522,4 +522,7 @@ def load_header(data: bytes) -> tuple[str, dict]:
     state = decode_value(buf)
     if not isinstance(state, dict):
         raise DeserializationError("corrupt payload: state is not a dict")
+    trailing = len(data) - buf.tell()
+    if trailing:
+        raise DeserializationError(f"corrupt payload: {trailing} trailing bytes")
     return class_name, state

@@ -28,7 +28,7 @@ k-way merge protocol
   it; randomized compactors (KLL, REQ) and the uniform reservoir are
   **distribution-equal** (deterministic given the inputs' states, but
   they consume the RNG differently from a cascade).
-  ``scripts/check_merge_parity.py`` and
+  ``tests/core/test_merge_parity.py`` and
   ``tests/core/test_merge_many.py`` enforce all three classes.
 
 Fan-out/reduce pipeline

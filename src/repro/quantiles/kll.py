@@ -11,8 +11,14 @@ unbiased halving.  Capacities decay geometrically (``k·c^depth``,
 c = 2/3), so total space is O(k) while rank error stays O(n/k)-ish
 (the full analysis gives ε ≈ O(1/k) with high probability).
 
-Fully mergeable with no error inflation (the property E7 exercises):
-merging concatenates compactor levels and re-compacts.
+Fully mergeable with no error inflation (the property E7 exercises).
+``merge`` concatenates another sketch's levels and re-compacts.
+``merge_many`` folds k parts in one pass: it gathers each level across
+every part into one float64 array (:func:`gather_levels`) and walks the
+levels once, sorting a level that holds at least its capacity with
+``np.sort`` and promoting a random parity.  Each level compacts at most
+once however many parts the fold has, and a single compaction of a
+sorted buffer of any size adds at most its weight to any rank error.
 
 The only randomness is one fair coin per compaction, so a sketch's
 generator is :class:`Coins`, a splitmix64 stream whose whole state is
@@ -136,6 +142,30 @@ def bulk_insert(sketch, values) -> int:
     return total
 
 
+def gather_levels(cls, parts: list):
+    """A fresh ``cls`` over mergeable ``parts``, its levels not yet compacted.
+
+    It has the parts' summed ``n`` and the first part's coin state, and
+    its ``_compactors`` hold each level of every part, in part order, as
+    one float64 array.  The caller compacts them and turns them back
+    into lists: the one gather of both compactor-stack ``merge_many``.
+    """
+    first = parts[0]
+    for other in parts[1:]:
+        first._check_mergeable(other, "k")
+    merged = cls(k=first.k, seed=first.seed)
+    merged._coins.state = first._coins.state
+    merged.n = sum(sk.n for sk in parts)
+    height = max(len(sk._compactors) for sk in parts)
+    merged._compactors = []
+    for level in range(height):
+        bufs = [sk._compactors[level] for sk in parts if level < len(sk._compactors)]
+        merged._compactors.append(
+            np.fromiter(chain.from_iterable(bufs), np.float64, sum(map(len, bufs)))
+        )
+    return merged
+
+
 def sorted_view(sketch) -> tuple[list, list, int]:
     """``(values, cum_weights, finite)`` of a compactor stack, cached as ``_view``.
 
@@ -167,6 +197,7 @@ def view_quantile(view, target: float) -> float:
     return values[min(bisect_left(cum, target), len(values) - 1)]
 
 _CAPACITY_DECAY = 2.0 / 3.0
+_NO_ITEMS = np.empty(0)
 
 
 class KLLSketch(QuantileSketch):
@@ -297,43 +328,33 @@ class KLLSketch(QuantileSketch):
         self.n += other.n
         self._compress()
 
-    # Parts folded between compression cascades in ``_merge_many_impl``.
-    # Unbounded concatenation backfires for KLL: capacities decay
-    # geometrically, so a k-deep concat makes every level's sort
-    # quadratically larger than the ~2·capacity sorts the pairwise fold
-    # pays, and at k ≳ 64 the giant sorts cost more than the k − 1
-    # cascades they replace.  Batching keeps buffers bounded at
-    # ~batch·capacity while still amortizing the cascade overhead.
-    _MERGE_BATCH = 8
-
     @classmethod
     def _merge_many_impl(cls, parts: list) -> "KLLSketch":
-        """k-way merge: concatenate levels in batches, compress per batch.
+        """k-way merge in one pass: gather every level, then compact each at most once.
 
-        One compaction cascade per ``_MERGE_BATCH`` parts instead of one
-        per part.  The result is a valid KLL sketch over the combined
-        stream, equal to the fold in distribution — compaction parities
-        are random, so the exact retained items differ — and
-        deterministic given the inputs' states.
+        Walking up from level 0, a level holding at least its capacity is
+        sorted with ``np.sort`` and a random parity promoted, as
+        :meth:`_compact_level` does.  The result is a valid KLL sketch
+        over the combined stream with exact ``n``, its ranks unbiased and
+        within the same bound as the pairwise fold's (with fewer
+        compactions, tighter in practice); its coins continue from the
+        first part's, one flip per compaction, so it is deterministic
+        given the inputs.
         """
-        first = parts[0]
-        for other in parts[1:]:
-            first._check_mergeable(other, "k")
-        merged = cls(k=first.k, seed=first.seed)
-        merged._coins.state = first._coins.state
-        merged._compactors = [list(buf) for buf in first._compactors]
-        pending = 0
-        for sk in parts[1:]:
-            while len(merged._compactors) < len(sk._compactors):
-                merged._grow()
-            for level, buf in enumerate(sk._compactors):
-                merged._compactors[level].extend(buf)
-            pending += 1
-            if pending >= cls._MERGE_BATCH:
-                merged._compress()
-                pending = 0
-        merged.n = sum(sk.n for sk in parts)
-        merged._compress()
+        merged = gather_levels(cls, parts)
+        levels, coins = merged._compactors, merged._coins
+        caps = merged._capacities()
+        level = 0
+        while level < len(levels):
+            if len(levels[level]) >= caps[level]:
+                if level + 1 == len(levels):
+                    levels.append(_NO_ITEMS)
+                    caps = merged._capacities()  # a new top level shifts every capacity
+                promoted = np.sort(levels[level])[coins.flip()::2]
+                levels[level + 1] = np.concatenate((levels[level + 1], promoted))
+                levels[level] = _NO_ITEMS
+            level += 1
+        merged._compactors = [buf.tolist() for buf in levels]
         return merged
 
     def memory_footprint(self) -> int:

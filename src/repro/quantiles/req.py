@@ -24,8 +24,8 @@ E6's suite and tested below), the exact constants are not.
 from __future__ import annotations
 
 from .base import QuantileSketch
-from .kll import COMPACTOR_LAYOUT, Coins, bulk_insert, footprint_of, levels_from_state
-from .kll import levels_to_state, sorted_view, view_quantile, view_rank
+from .kll import COMPACTOR_LAYOUT, Coins, bulk_insert, footprint_of, gather_levels
+from .kll import levels_from_state, levels_to_state, sorted_view, view_quantile, view_rank
 
 __all__ = ["ReqSketch"]
 
@@ -120,25 +120,13 @@ class ReqSketch(QuantileSketch):
 
     @classmethod
     def _merge_many_impl(cls, parts: list) -> "ReqSketch":
-        """k-way merge: concatenate every level once, compress once.
+        """k-way merge: gather every level once (:func:`gather_levels`), compress once.
 
-        Same contract as :meth:`KLLSketch._merge_many_impl` — equal to
-        the pairwise fold in distribution, one compaction cascade
-        instead of ``k − 1``.
+        Same contract as :meth:`KLLSketch._merge_many_impl`, with this
+        sketch's protected compactions.
         """
-        first = parts[0]
-        for other in parts[1:]:
-            first._check_mergeable(other, "k")
-        merged = cls(k=first.k, seed=first.seed)
-        merged._coins.state = first._coins.state
-        merged._compactors = [list(buf) for buf in first._compactors]
-        height = max(len(sk._compactors) for sk in parts)
-        while len(merged._compactors) < height:
-            merged._compactors.append([])
-        for sk in parts[1:]:
-            for level, buf in enumerate(sk._compactors):
-                merged._compactors[level].extend(buf)
-        merged.n = sum(sk.n for sk in parts)
+        merged = gather_levels(cls, parts)
+        merged._compactors = [buf.tolist() for buf in merged._compactors]
         merged._compress()
         return merged
 

@@ -421,6 +421,39 @@ def test_tag_11_under_a_class_without_layout(name):
         load_header(header(name) + body)
 
 
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_generic_blob_with_trailing_bytes_raises(name):
+    blob = generic_blob(name, filled(name).state_dict())
+    assert type(from_bytes_any(blob)).__name__ == name
+    with pytest.raises(DeserializationError, match="trailing"):
+        from_bytes_any(blob + b"junk")
+    with pytest.raises(DeserializationError, match="trailing"):
+        load_header(blob + b"\x00")
+
+
+def test_count_min_blob_with_junk_appended_raises():
+    blob = CountMinSketch(width=8, depth=2).to_bytes()
+    with pytest.raises(DeserializationError, match="4 trailing bytes"):
+        from_bytes_any(blob + b"junk")
+
+
+@pytest.mark.parametrize(
+    "name,path",
+    [("HyperLogLog", "generic"), ("HyperLogLog", "layout"), ("HyperLogLogPlusPlus", "generic")],
+)
+def test_hll_register_count_must_be_two_to_the_p(name, path):
+    def blob(registers):
+        state = {"p": 10, "seed": 0, "registers": registers}
+        out = generic_blob(name, state) if path == "generic" else dump_sketch(name, state)
+        assert (payload_tag(name, out) == 11) == (path == "layout")
+        return out
+
+    assert from_bytes_any(blob(np.full(1024, 3, dtype=np.uint8))).m == 1024
+    for count in (0, 16, 1023, 1025, 2048):
+        with pytest.raises(DeserializationError, match="registers"):
+            from_bytes_any(blob(np.full(count, 3, dtype=np.uint8)))
+
+
 class TestGenericBytesUnchanged:
     def test_window_record_matches_golden_bytes(self):
         with open(os.path.join(FIXTURES, "record_v1.bin"), "rb") as fh:
