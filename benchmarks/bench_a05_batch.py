@@ -7,7 +7,7 @@ with numpy kernels, scatter in C.  Both paths now run through the
 unified harness's suite cases (``update/<family>/scalar`` vs
 ``update/<family>/batch``), so the same rows feed ``BENCH_*.json`` and
 the CI regression gate.  The batch paths are state-identical to the
-scalar ones (``scripts/check_batch_parity.py`` enforces it), so the
+scalar ones (``tests/core/test_batch_parity.py`` enforces it), so the
 speedup is free accuracy-wise.  Stream lengths differ per path (20k
 scalar, 200k batch — scalar at batch length would dominate the suite's
 wall time), which if anything *understates* the batch win for

@@ -805,8 +805,9 @@ def build_runner(
         return ((np.asarray(sources, dtype=np.int64) << 32) | dests).tolist()
 
     def groupby_run(gb, keys):
-        # One window's GROUP BY: group ids, the stable partition and
-        # every group's HLL update from one batch of Python int keys.
+        # One window's GROUP BY: group ids, then one hash pass over the
+        # batch in stream order, with only the (index, rho) arrays sorted
+        # by group before each group's register update.
         gb.process_many(keys)
 
     runner.add(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import MergeableSketch
+from ..core import DeserializationError, MergeableSketch
 from ..hashing import HashFunction
 
 __all__ = ["FlajoletMartin", "PHI_FM"]
@@ -104,5 +104,10 @@ class FlajoletMartin(MergeableSketch):
     @classmethod
     def from_state_dict(cls, state: dict) -> "FlajoletMartin":
         sk = cls(m=state["m"], seed=state["seed"])
-        sk._bitmaps = state["bitmaps"].astype(np.int64)
+        bitmaps = state["bitmaps"]
+        if bitmaps.shape != (sk.m,):
+            raise DeserializationError(
+                f"corrupt {cls.__name__} state: {bitmaps.shape} bitmaps, expected ({sk.m},)"
+            )
+        sk._bitmaps = bitmaps.astype(np.int64)
         return sk

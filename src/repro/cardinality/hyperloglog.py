@@ -103,13 +103,12 @@ class HyperLogLog(MergeableSketch):
         State is identical to per-item :meth:`update` calls for any
         iterable of sketchable items, not just numpy integer arrays.
         """
-        keys = canonical_keys(items)
-        register_update([self], keys, (0, len(keys)))
+        register_update([self], canonical_keys(items))
 
     @classmethod
-    def _update_grouped_impl(cls, sketches: list, items, bounds) -> None:
-        """GROUP BY batch: one canonicalize, hash and register pass for all groups."""
-        register_update(sketches, canonical_keys(items), bounds)
+    def _update_grouped_impl(cls, sketches: list, items, gids) -> None:
+        """GROUP BY batch: one canonicalize, hash and register pass, in stream order."""
+        register_update(sketches, canonical_keys(items), gids)
 
     # -- queries ----------------------------------------------------------
 

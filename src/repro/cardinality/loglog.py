@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ..core import MergeableSketch
+from ..core import DeserializationError, MergeableSketch
 from ..core.batch import canonical_keys, register_update
 from ..hashing import HashFunction
 
@@ -66,13 +66,12 @@ class LogLog(MergeableSketch):
 
     def update_many(self, items) -> None:
         """Bulk update: canonicalize once, then the vectorized register kernel."""
-        keys = canonical_keys(items)
-        register_update([self], keys, (0, len(keys)))
+        register_update([self], canonical_keys(items))
 
     @classmethod
-    def _update_grouped_impl(cls, sketches: list, items, bounds) -> None:
-        """GROUP BY batch: one canonicalize, hash and register pass for all groups."""
-        register_update(sketches, canonical_keys(items), bounds)
+    def _update_grouped_impl(cls, sketches: list, items, gids) -> None:
+        """GROUP BY batch: one canonicalize, hash and register pass, in stream order."""
+        register_update(sketches, canonical_keys(items), gids)
 
     def estimate(self) -> float:
         """Geometric-mean estimate ``α_m · m · 2^(mean register)``.
@@ -122,5 +121,11 @@ class LogLog(MergeableSketch):
     @classmethod
     def from_state_dict(cls, state: dict) -> "LogLog":
         sk = cls(p=state["p"], seed=state["seed"])
-        sk._registers = state["registers"].astype(np.uint8)
+        registers = state["registers"]
+        if registers.shape != (sk.m,):
+            raise DeserializationError(
+                f"corrupt {cls.__name__} state: {registers.shape} registers, "
+                f"expected ({sk.m},) for p={sk.p}"
+            )
+        sk._registers = registers.astype(np.uint8)
         return sk

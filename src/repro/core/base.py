@@ -36,11 +36,14 @@ import types
 from abc import ABC, abstractmethod
 from contextlib import nullcontext
 
+import numpy as np
+
 from ..obs.registry import HOT as _HOT
 from ..obs.registry import STATE as _OBS
 from ..obs.registry import get_registry as _get_registry
 from ..obs.trace import TRACE as _TRACE
 from ..obs.trace import get_tracer as _get_tracer
+from .batch import group_slices
 from .exceptions import DeserializationError, IncompatibleSketchError
 from .serde import LAYOUTS, blob_nbytes, dump_sketch, load_header
 
@@ -173,19 +176,32 @@ class Sketch(ABC):
             self.update(item)
 
     @classmethod
-    def update_grouped(cls, sketches: list, items, bounds) -> None:
-        """GROUP BY batch update: ``sketches[i]`` takes ``items[bounds[i]:bounds[i + 1]]``.
+    def update_grouped(cls, sketches: list, items, gids) -> None:
+        """GROUP BY batch update: ``sketches[gids[i]]`` takes ``items[i]``.
 
-        Dispatches on the first sketch's class, like :meth:`MergeableSketch.merge_many`.
-        The default runs each sketch's own ``update_many`` on its slice (so
-        also non-:class:`Sketch` objects that have one); a family kernel
-        overriding :meth:`_update_grouped_impl` counts as one ``update_many``
-        op over all the items, traced as one ``<Class>.update_grouped`` span.
+        ``items`` is one batch in stream order and ``gids`` an integer
+        array of the same length indexing ``sketches``.  Each sketch ends
+        as its ``update_many`` over its own items, in stream order, would
+        leave it; a sketch given no items is untouched.  Dispatches on the
+        first sketch's class, like :meth:`MergeableSketch.merge_many`.  The
+        default regroups the items and runs each sketch's own
+        ``update_many`` (so also non-:class:`Sketch` objects that have
+        one); a family kernel overriding :meth:`_update_grouped_impl`
+        counts as one ``update_many`` op over all the items, traced as one
+        ``<Class>.update_grouped`` span.  Raises ``ValueError`` before any
+        update when ``gids`` does not index ``sketches`` item by item.
         """
+        gids = np.asarray(gids)
+        if gids.shape != (len(items),) or not np.can_cast(gids.dtype, np.intp):
+            raise ValueError(
+                f"gids must be {len(items)} integers, got {gids.dtype} {gids.shape}"
+            )
+        if len(gids) and (int(gids.min()) < 0 or int(gids.max()) >= len(sketches)):
+            raise ValueError(f"gids must lie in [0, {len(sketches)})")
         first = sketches[0]
         kernel = getattr(type(first), "_update_grouped_impl", Sketch._update_grouped_impl)
         if not _HOT.flag or kernel.__func__ is Sketch._update_grouped_impl.__func__:
-            kernel(sketches, items, bounds)
+            kernel(sketches, items, gids)
             return
         n, ctx = len(items), nullcontext()
         if _TRACE.enabled:
@@ -193,15 +209,24 @@ class Sketch(ABC):
             ctx = _get_tracer().span(name, items=n, groups=len(sketches))
         start = time.perf_counter()
         with ctx:
-            kernel(sketches, items, bounds)
+            kernel(sketches, items, gids)
         if _OBS.enabled:
             first._observe("update_many", n, time.perf_counter() - start)
 
     @classmethod
-    def _update_grouped_impl(cls, sketches: list, items, bounds) -> None:
-        """Kernel behind :meth:`update_grouped` (override me): per-slice ``update_many``."""
-        for sketch, lo, hi in zip(sketches, bounds, bounds[1:]):
-            sketch.update_many(items[lo:hi])
+    def _update_grouped_impl(cls, sketches: list, items, gids) -> None:
+        """Kernel behind :meth:`update_grouped` (override me): per-group ``update_many``.
+
+        The one place that regroups records: a stable sort of ``gids``
+        reorders the items (each group keeps its stream order, which
+        order-dependent families need), and every sketch given items
+        runs ``update_many`` on its slice.
+        """
+        order, slices = group_slices(gids, len(sketches))
+        ordered = np.fromiter(items, dtype=object, count=len(items))[order].tolist()
+        for sketch, (lo, hi) in zip(sketches, slices):
+            if hi > lo:
+                sketch.update_many(ordered[lo:hi])
 
     @abstractmethod
     def state_dict(self) -> dict:

@@ -15,9 +15,9 @@ routine instead of per-sketch boilerplate), hashes keys via
 ``HashFunction.hash_keys`` / ``bucket_keys`` / ``sign_keys``, and then
 applies a family-specific numpy kernel.  All batch paths are *exact*:
 ``sk.update_many(items)`` leaves the sketch in a state identical to
-``for x in items: sk.update(x)`` (the parity suite in
-``tests/core/test_batch_parity.py`` and ``scripts/check_batch_parity.py``
-enforce this).
+``for x in items: sk.update(x)`` (the parity gate
+``tests/core/test_batch_parity.py`` and the properties in
+``tests/core/test_batch.py`` enforce this).
 
 Batch-update protocol
 ---------------------
@@ -42,8 +42,10 @@ Per-family support matrix
 ==========================  ===============================================
 family                      batch strategy
 ==========================  ===============================================
-HyperLogLog / LogLog        vectorized register kernel (:func:`register_update`),
-                            one hash pass per GROUP BY batch
+HyperLogLog / LogLog        vectorized register kernel (:func:`register_update`);
+                            a GROUP BY batch is hashed once in stream
+                            order and only its (index, ρ) arrays are
+                            sorted by group
 HyperLogLogPlusPlus         vectorized hashing; sparse inserts from the hash
                             array, switching to the dense kernel mid-batch
 CountMinSketch              per-row ``np.add.at`` scatter; conservative
@@ -58,8 +60,12 @@ KMVSketch                   hash batch → k smallest distinct via ``np.unique``
 KLLSketch / ReqSketch       buffered bulk insert into compactor 0
 AMSSketch                   chunked ±1 sign matrix × weight vector
 StreamPipeline.feed         batched operator dispatch via ``process_many``
-GroupBySketcher             one stable partition of the batch by group,
-                            then ``Sketch.update_grouped``
+GroupBySketcher             group ids in first-appearance order, then one
+                            ``Sketch.update_grouped(sketches, items, gids)``
+                            over the batch in stream order; the other
+                            families' default kernel is the one place that
+                            regroups records, stably (HLL++, SpaceSaving,
+                            KLL, conservative CountMin depend on order)
 ConcurrentSketch            routes batches to the thread-local replica
 ==========================  ===============================================
 """
@@ -70,7 +76,13 @@ import numpy as np
 
 from ..hashing import item_to_u64
 
-__all__ = ["canonical_keys", "canonical_weights", "hll_registers", "register_update"]
+__all__ = [
+    "canonical_keys",
+    "canonical_weights",
+    "group_slices",
+    "hll_registers",
+    "register_update",
+]
 
 _I63_MAX = 1 << 63
 _EXACT_INT = {int}
@@ -161,13 +173,27 @@ def hll_registers(
     return idx, rho
 
 
-def register_update(sketches: list, keys: np.ndarray, bounds) -> None:
+def group_slices(gids: np.ndarray, groups: int) -> tuple[np.ndarray, list]:
+    """Stable sort order of ``gids`` and each group's ``(lo, hi)`` slice in that order.
+
+    Group ``g``'s items, taken through ``order[lo:hi]``, keep their
+    stream order; a group with no items gets an empty slice.
+    """
+    order = np.argsort(gids, kind="stable")
+    ends = np.bincount(gids, minlength=groups).cumsum().tolist()
+    return order, list(zip([0, *ends], ends))
+
+
+def register_update(sketches: list, keys: np.ndarray, gids=None) -> None:
     """Scatter canonical ``keys`` into HyperLogLog/LogLog register files.
 
-    ``sketches[i]`` takes ``keys[bounds[i]:bounds[i + 1]]``.  All keys are
-    hashed and split into (index, ρ) once, so every sketch must be
-    mergeable with the first (checked before any register changes); one
-    ``np.maximum.at`` per sketch applies its slice.
+    ``sketches[gids[i]]`` takes ``keys[i]``; without ``gids`` every key
+    goes to the one sketch in ``sketches``.  Every sketch must be
+    mergeable with the first (checked before any register changes).  The
+    keys are hashed and split into (index, ρ) once, in stream order;
+    since a register maximum does not depend on order, only those two
+    integer arrays are sorted by group, and one ``np.maximum.at`` per
+    group applies its slice.  No ``groups × m`` matrix is built.
     """
     first = sketches[0]
     for other in sketches[1:]:
@@ -175,5 +201,10 @@ def register_update(sketches: list, keys: np.ndarray, bounds) -> None:
     if len(keys) == 0:
         return
     idx, rho = hll_registers(first._hash.hash_keys(keys), first.p, first._max_rho)
-    for sketch, lo, hi in zip(sketches, bounds, bounds[1:]):
+    if gids is None:
+        np.maximum.at(first._registers, idx, rho)
+        return
+    order, slices = group_slices(gids, len(sketches))
+    idx, rho = idx[order], rho[order]
+    for sketch, (lo, hi) in zip(sketches, slices):
         np.maximum.at(sketch._registers, idx[lo:hi], rho[lo:hi])

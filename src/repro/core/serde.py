@@ -93,6 +93,8 @@ _LAYOUT_TAG = bytes([_T_LAYOUT])
 _TAG_LEN = struct.Struct("<BQ").pack  # type tag + u64 length
 _TAG_FLOAT = struct.Struct("<Bd").pack
 _U32 = struct.Struct("<I")
+#: a single-array layout's length table: the count (1) and the length.
+_ONE_ARRAY = struct.Struct("<II")
 
 #: fixed layouts by exact class name (filled by ``Sketch.__init_subclass__``).
 LAYOUTS: dict[str, "Layout"] = {}
@@ -306,10 +308,11 @@ class Layout:
             arrays = state[self.key] if self.many else [state[self.key]]
         except KeyError:
             return None
-        if (self.many and type(arrays) is not list) or any(
-            type(v) is not int for v in values
-        ):
+        if self.many and type(arrays) is not list:
             return None
+        for value in values:
+            if type(value) is not int:
+                return None
         for array in arrays:
             if (
                 type(array) is not np.ndarray
@@ -323,14 +326,24 @@ class Layout:
         except struct.error:
             return None
 
-    def pack(self, state: dict) -> bytes | None:
-        """Tag 11 plus the layout body, or None when ``state`` does not fit."""
+    def pack(self, state: dict, header: bytes) -> bytes | None:
+        """The blob ``header`` + tag 11 + layout body, or None when ``state`` does not fit.
+
+        One join builds it: the arrays go in as buffers, not ``tobytes()``
+        copies, and the header is not concatenated on afterwards.
+        """
         fit = self.fit(state)
         if fit is None:
             return None
         head, arrays = fit
-        table = struct.pack(f"<I{len(arrays)}I", len(arrays), *map(len, arrays))
-        return b"".join([_LAYOUT_TAG, head, table, *(array.tobytes() for array in arrays)])
+        if self.many:
+            table = struct.pack(f"<I{len(arrays)}I", len(arrays), *map(len, arrays))
+        else:
+            table = _ONE_ARRAY.pack(1, len(arrays[0]))
+        try:
+            return b"".join([header, _LAYOUT_TAG, head, table, *arrays])
+        except TypeError:  # a strided array exports no flat buffer
+            return b"".join([header, _LAYOUT_TAG, head, table, *(a.tobytes() for a in arrays)])
 
     def blob_nbytes(self, class_name: str, lengths: list[int]) -> int:
         """Size of a whole layout blob of ``class_name`` over arrays of ``lengths`` elements."""
@@ -486,11 +499,12 @@ def dump_sketch(class_name: str, state: dict) -> bytes:
     the generic typed encoding otherwise.
     """
     layout = LAYOUTS.get(class_name)
-    body = None if layout is None else layout.pack(state)
-    if body is not None:
-        return _header(class_name) + body
+    header = _header(class_name)
+    blob = None if layout is None else layout.pack(state, header)
+    if blob is not None:
+        return blob
     out = io.BytesIO()
-    out.write(_header(class_name))
+    out.write(header)
     encode_value(state, out)
     return out.getvalue()
 

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from ..core import MergeableSketch
+from ..core import DeserializationError, MergeableSketch
 from ..core.batch import canonical_keys, canonical_weights
 from ..hashing import HashFamily
 
@@ -236,6 +236,12 @@ class CountMinSketch(MergeableSketch):
             conservative=state["conservative"],
             seed=state["seed"],
         )
+        table = state["table"]
+        if table.shape != (sk.depth, sk.width):
+            raise DeserializationError(
+                f"corrupt {cls.__name__} state: {table.shape} table, "
+                f"expected ({sk.depth}, {sk.width})"
+            )
         sk.n = state["n"]
-        sk._table = state["table"].astype(np.int64)
+        sk._table = table.astype(np.int64)
         return sk

@@ -62,14 +62,14 @@ class GroupBySketcher:
         self.n_records += 1
 
     def process_many(self, records: list) -> None:
-        """Batched dispatch: partition the batch by group, then one grouped update.
+        """Batched dispatch: group ids for the batch, then one grouped update.
 
         With the default update function, records map to group ids in
-        first-appearance order (new sketches are created in that order), a
-        stable ``argsort`` reorders the same record objects by group, and one
-        :meth:`~repro.core.Sketch.update_grouped` call updates every group
-        from its slice: each group ends as per-record :meth:`process` would
-        leave it.  Custom update functions take the per-record path.
+        first-appearance order (new sketches are created in that order),
+        and one :meth:`~repro.core.Sketch.update_grouped` call takes the
+        records in stream order plus their group ids; no records are
+        reordered here.  Each group ends as per-record :meth:`process`
+        would leave it.  Custom update functions take the per-record path.
         """
         if not self._default_update:
             for record in records:
@@ -79,15 +79,12 @@ class GroupBySketcher:
             return
         group_keys = list(map(self.group_fn, records))
         ids = {key: gid for gid, key in enumerate(dict.fromkeys(group_keys))}
-        # The narrowest unsigned dtype lets numpy's stable sort use radix sort.
+        # The narrowest unsigned dtype lets the kernels' stable sort use radix sort.
         gids = np.fromiter(
             map(ids.__getitem__, group_keys),
             dtype=np.min_scalar_type(len(ids)),
             count=len(group_keys),
         )
-        order = np.argsort(gids, kind="stable")
-        ordered = np.fromiter(records, dtype=object, count=len(records))[order].tolist()
-        bounds = [0, *np.bincount(gids, minlength=len(ids)).cumsum().tolist()]
         sketches = []
         for key in ids:
             sketch = self._groups.get(key)
@@ -95,7 +92,7 @@ class GroupBySketcher:
                 sketch = self.sketch_factory()
                 self._groups[key] = sketch
             sketches.append(sketch)
-        Sketch.update_grouped(sketches, ordered, bounds)
+        Sketch.update_grouped(sketches, records, gids)
         self.n_records += len(records)
 
     def get(self, key: Any) -> Any | None:

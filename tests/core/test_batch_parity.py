@@ -1,22 +1,19 @@
-#!/usr/bin/env python3
-"""Smoke check: ``update_many`` must equal sequential ``update`` exactly.
+"""Batch parity gate: ``update_many`` must equal sequential ``update`` exactly.
 
 Builds every sketch family with a batch path, feeds the same stream
 through both paths, and compares full ``state_dict()`` contents.  A
 second section does the same for GROUP BY: ``StreamPipeline.feed``
 into a :class:`~repro.streaming.GroupBySketcher` (batched, one grouped
-update per batch) against per-record ``process``, comparing every
-group's ``to_bytes()``, the group order and ``n_records``.
-Exits nonzero if anything diverged — cheap enough for CI or a
-pre-release sanity run (the exhaustive versions live in
-``tests/core/test_batch.py`` and ``tests/streaming/test_groupby_batch.py``).
+update per 777-record batch) against per-record ``process``, comparing
+every group's ``to_bytes()``, the group order and ``n_records``.
 
-Usage: ``PYTHONPATH=src python scripts/check_batch_parity.py``
+The exhaustive versions, over item types, batch sizes and group keys,
+are ``tests/core/test_batch.py`` and
+``tests/streaming/test_groupby_batch.py``.
 """
 
-import sys
-
 import numpy as np
+import pytest
 
 from repro.cardinality import HyperLogLog, HyperLogLogPlusPlus, KMVSketch, LogLog
 from repro.frequency import CountMinSketch, CountSketch, SpaceSaving
@@ -51,7 +48,9 @@ FAMILIES = [
 
 #: GROUP BY streams: int keys over 40 groups (first appearance is not
 #: sorted order), and floats for the quantile family.
-GROUP_INTS = (RNG.integers(0, 40, size=20_000) << 32 | RNG.integers(0, 5000, size=20_000)).tolist()
+GROUP_INTS = (
+    RNG.integers(0, 40, size=20_000) << 32 | RNG.integers(0, 5000, size=20_000)
+).tolist()
 GROUP_FLOATS = (RNG.normal(size=20_000) * 1e3).tolist()
 
 GROUPBY = [
@@ -64,6 +63,8 @@ GROUPBY = [
     ("HLL++", lambda: HyperLogLogPlusPlus(p=10, seed=1), GROUP_INTS),
     ("KLL", lambda: KLLSketch(k=24, seed=1), GROUP_FLOATS),
 ]
+
+BATCH_SIZE = 777
 
 
 def group_of(record) -> int:
@@ -81,43 +82,29 @@ def normalize(value):
     return value
 
 
-def main() -> int:
-    failures = 0
-    for name, factory, stream in FAMILIES:
-        batched, sequential = factory(), factory()
-        batched.update_many(stream)
-        for x in stream.tolist():
-            sequential.update(x)
-        if normalize(batched.state_dict()) == normalize(sequential.state_dict()):
-            print(f"  ok       {name}")
-        else:
-            print(f"  MISMATCH {name}")
-            failures += 1
-    for name, factory, stream in GROUPBY:
-        batched = GroupBySketcher(group_of, factory)
-        sequential = GroupBySketcher(group_of, factory)
-        StreamPipeline(stream).feed(batched, batch_size=777)
-        for record in stream:
-            sequential.process(record)
-        same = (
-            list(batched._groups) == list(sequential._groups)
-            and batched.n_records == sequential.n_records
-            and all(batched[k].to_bytes() == sk.to_bytes() for k, sk in sequential.items())
-        )
-        if same:
-            print(f"  ok       GROUP BY {name} ({len(sequential)} groups)")
-        else:
-            print(f"  MISMATCH GROUP BY {name}")
-            failures += 1
-    if failures:
-        print(f"{failures} check{'' if failures == 1 else 's'} diverged")
-        return 1
-    print(
-        f"all {len(FAMILIES)} families: update_many == sequential update; "
-        f"all {len(GROUPBY)} GROUP BY families: feed == per-record process"
-    )
-    return 0
+def test_tables_cover_every_family():
+    assert len(FAMILIES) == 13 and len({name for name, _, _ in FAMILIES}) == 13
+    assert len(GROUPBY) == 6 and len({name for name, _, _ in GROUPBY}) == 6
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+@pytest.mark.parametrize("factory,stream", [f[1:] for f in FAMILIES], ids=[f[0] for f in FAMILIES])
+def test_update_many_equals_sequential_update(factory, stream):
+    batched, sequential = factory(), factory()
+    batched.update_many(stream)
+    for x in stream.tolist():
+        sequential.update(x)
+    assert normalize(batched.state_dict()) == normalize(sequential.state_dict())
+
+
+@pytest.mark.parametrize("factory,stream", [g[1:] for g in GROUPBY], ids=[g[0] for g in GROUPBY])
+def test_groupby_feed_equals_per_record_process(factory, stream):
+    batched = GroupBySketcher(group_of, factory)
+    sequential = GroupBySketcher(group_of, factory)
+    StreamPipeline(stream).feed(batched, batch_size=BATCH_SIZE)
+    for record in stream:
+        sequential.process(record)
+    assert len(sequential) == 40
+    assert list(batched._groups) == list(sequential._groups)
+    assert batched.n_records == sequential.n_records == len(stream)
+    for key, sketch in sequential.items():
+        assert batched[key].to_bytes() == sketch.to_bytes()

@@ -454,6 +454,45 @@ def test_hll_register_count_must_be_two_to_the_p(name, path):
             from_bytes_any(blob(np.full(count, 3, dtype=np.uint8)))
 
 
+#: (family, params, array key, a well-shaped array, wrong shapes) for the
+#: families whose state carries one array sized by its parameters.
+SHAPED_ARRAYS = [
+    ("LogLog", {"p": 10, "seed": 0}, "registers",
+     np.full(1024, 3, dtype=np.uint8), [(0,), (16,), (1023,), (1025,), (2, 512)]),
+    ("FlajoletMartin", {"m": 64, "seed": 0}, "bitmaps",
+     np.full(64, 7, dtype=np.int64), [(0,), (16,), (63,), (65,), (8, 8)]),
+    ("CountMinSketch",
+     {"width": 64, "depth": 3, "conservative": False, "seed": 0, "n": 0}, "table",
+     np.zeros((3, 64), dtype=np.int64), [(192,), (16,), (64, 3), (3, 63), (4, 64)]),
+]
+
+
+@pytest.mark.parametrize(
+    "name,params,key,array,wrong", SHAPED_ARRAYS, ids=[case[0] for case in SHAPED_ARRAYS]
+)
+def test_array_shape_must_match_the_parameters(name, params, key, array, wrong):
+    def blob(values):
+        out = generic_blob(name, {**params, key: values})
+        assert payload_tag(name, out) != 11
+        return out
+
+    sketch = from_bytes_any(blob(array))
+    assert type(sketch).__name__ == name
+    assert sketch.state_dict()[key].shape == array.shape
+    for shape in wrong:
+        with pytest.raises(DeserializationError, match=key):
+            from_bytes_any(blob(np.zeros(shape, dtype=array.dtype)))
+
+
+def test_strided_array_packs_like_its_copy():
+    state = hll(10).state_dict()
+    strided = np.repeat(state["registers"], 2)[::2]
+    assert not strided.flags.c_contiguous
+    assert dump_sketch("HyperLogLog", {**state, "registers": strided}) == dump_sketch(
+        "HyperLogLog", state
+    )
+
+
 class TestGenericBytesUnchanged:
     def test_window_record_matches_golden_bytes(self):
         with open(os.path.join(FIXTURES, "record_v1.bin"), "rb") as fh:

@@ -1,11 +1,13 @@
 """Batched GROUP BY: ``feed``/``process_many`` must equal per-record ``process``.
 
-The batched path partitions each batch by group with one stable sort
-and updates every group through ``Sketch.update_grouped``; register
-families share one hash pass over the whole batch.  None of that may be
-visible: every group's serialized state, the first-appearance order of
-the groups and ``n_records`` must match feeding the same records one at
-a time, for any mix of item types and group keys.
+The batched path maps each batch to group ids and updates every group
+through one ``Sketch.update_grouped(sketches, items, gids)`` call, with
+the items in stream order; register families hash the whole batch once
+and regroup only the (index, ρ) arrays, the default kernel regroups the
+items with one stable sort.  None of that may be visible: every group's
+serialized state, the first-appearance order of the groups and
+``n_records`` must match feeding the same records one at a time, for
+any mix of item types and group keys.
 """
 
 import enum
@@ -129,5 +131,58 @@ def test_uncanonicalizable_record_leaves_existing_groups_untouched():
 def test_grouped_kernel_rejects_mismatched_sketches_before_any_update():
     sketches = [HyperLogLog(p=6, seed=1), HyperLogLog(p=6, seed=2)]
     with pytest.raises(IncompatibleSketchError):
-        Sketch.update_grouped(sketches, [1, 2, 3, 4], [0, 2, 4])
+        Sketch.update_grouped(sketches, [1, 2, 3, 4], [0, 0, 1, 1])
+    assert not any(sk._registers.any() for sk in sketches)
+
+
+#: ``update_grouped`` kernels: the register kernel (HLL, LogLog) and the
+#: default regrouping kernel (order-dependent families).
+KERNEL_FACTORIES = {
+    "hll": (FACTORIES["hll"], ITEMS),
+    "loglog": (FACTORIES["loglog"], ITEMS),
+    "hllpp": (FACTORIES["hllpp"], ITEMS),
+    "spacesaving": (FACTORIES["spacesaving"], ITEMS),
+    "kll": (lambda: KLLSketch(k=8, seed=2), st.floats(allow_nan=False)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(KERNEL_FACTORIES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_update_grouped_equals_per_group_update_many(family, data):
+    factory, items_strategy = KERNEL_FACTORIES[family]
+    n_groups = data.draw(st.integers(min_value=1, max_value=5))
+    items = data.draw(st.lists(items_strategy, max_size=120))
+    gids = data.draw(
+        st.lists(st.integers(0, n_groups - 1), min_size=len(items), max_size=len(items))
+    )
+    dtype = data.draw(st.sampled_from([np.uint8, np.uint16, np.int64]))
+    grouped = [factory() for _ in range(n_groups)]
+    Sketch.update_grouped(grouped, items, np.array(gids, dtype=dtype))
+    for gid, sketch in enumerate(grouped):
+        expected = factory()
+        expected.update_many([x for x, g in zip(items, gids) if g == gid])
+        assert sketch.to_bytes() == expected.to_bytes()
+
+
+@pytest.mark.parametrize("family", sorted(KERNEL_FACTORIES))
+def test_sketch_given_no_items_stays_untouched(family):
+    factory, _ = KERNEL_FACTORIES[family]
+    sketches = [factory() for _ in range(3)]
+    for sketch in sketches:
+        sketch.update_many([0.5, 7.0, 7.0, 11.25])
+    before = sketches[1].to_bytes()
+    Sketch.update_grouped(sketches, [1.5, 2.5, 3.5, 4.5], [2, 0, 2, 0])
+    assert sketches[1].to_bytes() == before
+    assert sketches[0].to_bytes() != before and sketches[2].to_bytes() != before
+
+
+@pytest.mark.parametrize(
+    "gids",
+    [[0, 1, 1], [0, 1, 1, 0, 1], [0, 2, 1, 0], [0, -1, 1, 0], [0.0, 1.0, 1.0, 0.0]],
+)
+def test_gids_that_do_not_index_the_sketches_raise_before_any_update(gids):
+    sketches = [HyperLogLog(p=6), HyperLogLog(p=6)]
+    with pytest.raises(ValueError, match="gids"):
+        Sketch.update_grouped(sketches, [1, 2, 3, 4], gids)
     assert not any(sk._registers.any() for sk in sketches)
