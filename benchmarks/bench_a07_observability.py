@@ -8,117 +8,37 @@ paper's monitoring thread).  A7 quantifies both promises against the
 raw kernels, which remain reachable as ``update_many.__wrapped__`` —
 the exact pre-instrumentation code path.
 
-Measurement runs on the unified harness's overhead protocol
-(:func:`repro.obs.bench.interleaved_ns` +
-:func:`~repro.obs.bench.overhead_estimate`): variants interleaved
-within each round so clock drift hits all three equally, overhead
-taken as the smaller of the best-of-N ratio and the median paired
-ratio so one contended round can't fake a failure.
-``scripts/check_obs_overhead.py`` enforces the same bounds in CI on a
-reduced workload through the same primitives.
+Measurement runs the ``off`` and ``metrics`` rows of the overhead table
+(``benchmarks/overhead.py``) at this benchmark's sizes: arms interleaved
+within each round so clock drift hits them equally, overhead taken as
+the smaller of the best-of-N ratio and the median paired ratio so one
+contended round can't fake a failure.  ``scripts/check_overhead.py``
+gates the whole table in CI at smaller sizes.
 
 Acceptance bounds (asserted): disabled overhead < 2%, enabled < 5%.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_a07_observability.py -s``.
 """
 
-import numpy as np
-
 from _util import emit
-
-import repro.obs as obs
-from repro.cardinality import HyperLogLog
-from repro.frequency import CountMinSketch
-from repro.membership import BloomFilter
-from repro.obs import MetricsRegistry
-from repro.obs.bench import interleaved_ns, overhead_estimate
-from repro.quantiles import KLLSketch
+from overhead import CONDITIONS, family_workloads, measure, throughput_rows
 
 N_ITEMS = 200_000
-REPEATS = 7
-CALLS_PER_RUN = 3  # amortize clock resolution over several batch calls
+REPEATS = 80
+CALLS_PER_RUN = 1
 
-RNG = np.random.default_rng(11)
-INTS = RNG.integers(0, 1 << 40, size=N_ITEMS)
-FLOATS = RNG.normal(size=N_ITEMS)
-
-FAMILIES = [
-    ("HyperLogLog", lambda: HyperLogLog(p=12, seed=1), INTS),
-    ("CountMin", lambda: CountMinSketch(width=2048, depth=4, seed=1), INTS),
-    ("Bloom", lambda: BloomFilter(m=1 << 16, k=4, seed=1), INTS),
-    ("KLL", lambda: KLLSketch(k=200, seed=1), FLOATS),
-]
-
-
-def overhead_variants(factory, data, calls):
-    """The three arms every obs overhead check times.
-
-    A fresh sketch per sample keeps state-dependent costs (KLL
-    compaction, bucket saturation) identical across variants; the
-    enabled arm swaps in a fresh registry before timing and restores
-    the previous one after (both untimed).
-    """
-
-    def drive(sk, raw):
-        kernel = type(sk).update_many.__wrapped__ if raw else type(sk).update_many
-        for _ in range(calls):
-            kernel(sk, data)
-
-    def on_setup():
-        sk = factory()
-        previous = obs.set_registry(MetricsRegistry())
-        scope = obs.enable()
-        return (sk, previous, scope)
-
-    def on_teardown(state):
-        _, previous, scope = state
-        scope.restore()
-        obs.set_registry(previous if previous is not None else MetricsRegistry())
-
-    return [
-        ("raw", factory, lambda sk: drive(sk, raw=True)),
-        ("off", factory, lambda sk: drive(sk, raw=False)),
-        ("on", on_setup, lambda state: drive(state[0], raw=False), on_teardown),
-    ]
-
-
-def measure(factory, data, calls=CALLS_PER_RUN, repeats=REPEATS):
-    """(raw_best_seconds, disabled_overhead, enabled_overhead)."""
-    assert not obs.enabled()
-    samples = interleaved_ns(overhead_variants(factory, data, calls), repeats=repeats)
-    return (
-        min(samples["raw"]) * 1e-9,
-        overhead_estimate(samples["off"], samples["raw"]),
-        overhead_estimate(samples["on"], samples["raw"]),
-    )
+WORKLOADS = family_workloads(11, N_ITEMS, CALLS_PER_RUN)
 
 
 def test_a07_observability_overhead():
-    rows = []
-    failures = []
-    for name, factory, data in FAMILIES:
-        raw_t, disabled_over, enabled_over = measure(factory, data)
-        per_run_items = N_ITEMS * CALLS_PER_RUN
-        raw_rate = per_run_items / raw_t / 1e6
-        rows.append(
-            [
-                name,
-                raw_rate,
-                raw_rate / (1.0 + disabled_over),
-                raw_rate / (1.0 + enabled_over),
-                disabled_over * 100,
-                enabled_over * 100,
-            ]
-        )
-        if disabled_over >= 0.02:
-            failures.append(f"{name}: disabled overhead {disabled_over:.2%} >= 2%")
-        if enabled_over >= 0.05:
-            failures.append(f"{name}: enabled overhead {enabled_over:.2%} >= 5%")
+    conditions = [c for c in CONDITIONS if c.name in ("off", "metrics")]
+    results = measure(WORKLOADS, REPEATS, conditions)
     emit(
         "a07_obs_overhead",
         f"A7: instrumentation overhead on update_many "
         f"({N_ITEMS:,} items/call, best of {REPEATS})",
         ["sketch", "raw M/s", "off M/s", "on M/s", "off ovh %", "on ovh %"],
-        rows,
+        throughput_rows(results, N_ITEMS * CALLS_PER_RUN),
     )
-    assert not failures, "; ".join(failures)
+    failed = [r for r in results if not r.ok]
+    assert not failed, failed

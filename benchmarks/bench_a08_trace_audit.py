@@ -2,8 +2,9 @@
 
 Two halves of the PR-4 observability layer, quantified:
 
-1. **Span overhead per family** (same protocol as A7, with tracing
-   instead of metrics): best-of-N ``update_many`` throughput for the
+1. **Span overhead per family**: the ``off`` and ``tracing`` rows of
+   the overhead table (``benchmarks/overhead.py``, the A7 protocol) at
+   this benchmark's sizes — best-of-N ``update_many`` throughput for the
    raw kernel, the tracing-disabled path (the shared hot-flag load),
    and the tracing-enabled path recording one span per batch call into
    a fresh :class:`~repro.obs.Tracer`.  Acceptance bounds (asserted):
@@ -21,100 +22,39 @@ Two halves of the PR-4 observability layer, quantified:
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_a08_trace_audit.py -s``.
 """
 
-import time
-
 import numpy as np
 
 from _util import emit
+from overhead import CONDITIONS, family_workloads, measure, throughput_rows
 
-import repro.obs as obs
 from repro.cardinality import HyperLogLog
 from repro.frequency import CountMinSketch
-from repro.membership import BloomFilter
-from repro.obs import AccuracyAuditor, Tracer
+from repro.obs import AccuracyAuditor
 from repro.quantiles import KLLSketch
 
 N_ITEMS = 200_000
-REPEATS = 7
-CALLS_PER_RUN = 3
+REPEATS = 80
+CALLS_PER_RUN = 1
 
-RNG = np.random.default_rng(21)
-INTS = RNG.integers(0, 1 << 40, size=N_ITEMS)
-FLOATS = RNG.normal(size=N_ITEMS)
-
-FAMILIES = [
-    ("HyperLogLog", lambda: HyperLogLog(p=12, seed=1), INTS),
-    ("CountMin", lambda: CountMinSketch(width=2048, depth=4, seed=1), INTS),
-    ("Bloom", lambda: BloomFilter(m=1 << 16, k=4, seed=1), INTS),
-    ("KLL", lambda: KLLSketch(k=200, seed=1), FLOATS),
-]
+WORKLOADS = family_workloads(21, N_ITEMS, CALLS_PER_RUN)
 
 AUDIT_N = 1_000_000
 AUDIT_BATCH = 100_000
 CHECK_EVERY = 250_000
 
 
-def one_run_seconds(factory, data, raw: bool) -> float:
-    sk = factory()
-    kernel = type(sk).update_many.__wrapped__ if raw else type(sk).update_many
-    start = time.perf_counter()
-    for _ in range(CALLS_PER_RUN):
-        kernel(sk, data)
-    return time.perf_counter() - start
-
-
-def overhead(variant_times, raw_times):
-    """min(best-of-N ratio, median paired ratio) - 1 (see A7)."""
-    best = min(variant_times) / min(raw_times)
-    median = float(np.median(np.asarray(variant_times) / np.asarray(raw_times)))
-    return min(best, median) - 1.0
-
-
-def measure_tracing(factory, data):
-    """(raw_best, disabled_overhead, traced_overhead), interleaved."""
-    assert not obs.tracing_enabled()
-    raws, offs, ons = [], [], []
-    for _ in range(REPEATS):
-        raws.append(one_run_seconds(factory, data, raw=True))
-        offs.append(one_run_seconds(factory, data, raw=False))
-        previous = obs.set_tracer(Tracer())
-        try:
-            with obs.enable_tracing():
-                ons.append(one_run_seconds(factory, data, raw=False))
-        finally:
-            obs.set_tracer(previous if previous is not None else Tracer())
-    return min(raws), overhead(offs, raws), overhead(ons, raws)
-
-
 def test_a08_span_overhead():
-    rows = []
-    failures = []
-    for name, factory, data in FAMILIES:
-        raw_t, disabled_over, traced_over = measure_tracing(factory, data)
-        per_run_items = N_ITEMS * CALLS_PER_RUN
-        raw_rate = per_run_items / raw_t / 1e6
-        rows.append(
-            [
-                name,
-                raw_rate,
-                raw_rate / (1.0 + disabled_over),
-                raw_rate / (1.0 + traced_over),
-                disabled_over * 100,
-                traced_over * 100,
-            ]
-        )
-        if disabled_over >= 0.02:
-            failures.append(f"{name}: disabled overhead {disabled_over:.2%} >= 2%")
-        if traced_over >= 0.05:
-            failures.append(f"{name}: traced overhead {traced_over:.2%} >= 5%")
+    conditions = [c for c in CONDITIONS if c.name in ("off", "tracing")]
+    results = measure(WORKLOADS, REPEATS, conditions)
     emit(
         "a08_span_overhead",
         f"A8: span overhead on update_many "
         f"({N_ITEMS:,} items/call, best of {REPEATS})",
         ["sketch", "raw M/s", "off M/s", "traced M/s", "off ovh %", "traced ovh %"],
-        rows,
+        throughput_rows(results, N_ITEMS * CALLS_PER_RUN),
     )
-    assert not failures, "; ".join(failures)
+    failed = [r for r in results if not r.ok]
+    assert not failed, failed
 
 
 def audit_stream(name):

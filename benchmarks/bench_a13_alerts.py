@@ -15,8 +15,8 @@ noisy" from "the distribution moved".  Two measurements gate that story:
 - **Evaluation cost.**  The suite's ``obs/alert_eval`` case times full
   engine passes (threshold + quantile SLO + KLL drift + change-point
   over a 96-window ring); cheap evaluation is what makes a 1 s ticker
-  viable, and ``scripts/check_alert_pipeline.py`` holds the running
-  engine below 5% workload overhead in CI.
+  viable, and the ``engine`` row of ``scripts/check_overhead.py``
+  holds the running engine below 5% workload overhead in CI.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_a13_alerts.py -s``.
 """

@@ -44,8 +44,9 @@ Tags:
   ``streaming/groupby_hll`` is one ``GroupBySketcher.process_many``
   batch of int flow keys over Zipf-distributed sources into per-source
   HyperLogLogs — the per-window GROUP BY of the ``flows`` end-to-end
-  workload;
-- ``fast`` — the curated ~20-case subset the CI regression gate runs
+  workload — and ``streaming/groupby_countmin`` the same batch into
+  per-source Count-Min sketches through the default GROUP BY kernel;
+- ``fast`` — the curated 25-case subset the CI regression gate runs
   (~seconds, not minutes).
 
 Workloads come from :mod:`repro.workloads` generators seeded through
@@ -280,6 +281,7 @@ FAST_IDS = frozenset({
     "store/query_cold",
     "store/alert_pass",
     "streaming/groupby_hll",
+    "streaming/groupby_countmin",
 })
 
 
@@ -818,6 +820,28 @@ def build_runner(
         n_items=GROUPBY_RECORDS,
         params={"records": GROUPBY_RECORDS, "sources": GROUPBY_SOURCES,
                 "zipf": 1.1, "p": 10},
+        footprint=lambda gb, _: sum(sk.memory_footprint() for _, sk in gb.items()),
+        tags=tags_for(cid, "streaming", "throughput"),
+    )
+
+    cid = "streaming/groupby_countmin"
+
+    def groupby_default_run(gb, keys):
+        # The default kernel: group ids, one canonicalization of the
+        # batch, then one stable sort of the records and one
+        # update_many per group on its slice.
+        gb.process_many(keys)
+
+    runner.add(
+        cid, "GroupBySketcher",
+        run=groupby_default_run,
+        prepare=groupby_prepare,
+        setup=lambda keys: GroupBySketcher(
+            _source_of, lambda: CountMinSketch(width=1024, depth=4, seed=1)
+        ),
+        n_items=GROUPBY_RECORDS,
+        params={"records": GROUPBY_RECORDS, "sources": GROUPBY_SOURCES,
+                "zipf": 1.1, "width": 1024, "depth": 4},
         footprint=lambda gb, _: sum(sk.memory_footprint() for _, sk in gb.items()),
         tags=tags_for(cid, "streaming", "throughput"),
     )

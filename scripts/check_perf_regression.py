@@ -1,36 +1,40 @@
 #!/usr/bin/env python3
-"""Gate: compare a ``BENCH_*.json`` run against the committed baseline.
+"""Gate: compare ``BENCH_*.json`` runs against the committed baseline.
 
 Absolute ns/op is meaningless across machines, so the comparison is
 *calibration-normalized*: each payload's host fingerprint records
 ``calibration_ns`` — the wall time of a fixed reference workload
 (interpreter loop + numpy kernels, :func:`repro.obs.bench.calibrate`)
 measured on that host at run time.  A case's portable score is
-``ns_per_op / calibration_ns``; the gate fails when
+``ns_per_op / calibration_ns``, and its ratio in one payload is
 
     (current ns/op / current calibration)
-    ------------------------------------  >  tolerance
+    ------------------------------------
     (baseline ns/op / baseline calibration)
 
-for any case present in both payloads.  The default tolerance (1.6x)
-absorbs residual host and scheduler noise while still catching a
-deliberate 2x slowdown (verified in EXPERIMENTS.md A9); the baseline
-may override it per case via an optional top-level ``"tolerances"``
-map ``{case_id: ratio}``.
+A case's time differs between interpreter processes by more than its
+repetitions inside one process do, so the gate takes one or more
+payloads, each from a fresh ``run_benchmarks.py`` process, and fails
+when the *median* of a case's ratios over the payloads that ran it
+exceeds ``TOLERANCE`` (1.6x).  That absorbs residual host and scheduler
+noise while still catching a deliberate 2x slowdown (EXPERIMENTS.md A9).
 
 Exit codes: 0 = pass, 1 = regression detected, 2 = missing/invalid
 baseline or current payload (including no overlapping cases).
 
 Usage::
 
-    PYTHONPATH=src python scripts/run_benchmarks.py --suite fast --out BENCH_ci.json
-    PYTHONPATH=src python scripts/check_perf_regression.py BENCH_ci.json
-    PYTHONPATH=src python scripts/check_perf_regression.py BENCH_ci.json \\
-        --baseline benchmarks/baselines/BENCH_A09_baseline.json --tolerance 1.5
+    for i in 1 2 3 4 5; do
+        PYTHONPATH=src python scripts/run_benchmarks.py --suite fast --run ci$i --quiet
+    done
+    PYTHONPATH=src python scripts/check_perf_regression.py BENCH_ci*.json
+    PYTHONPATH=src python scripts/check_perf_regression.py BENCH_ci1.json \\
+        --baseline benchmarks/baselines/BENCH_A09_baseline.json
 """
 
 import argparse
 import os
+import statistics
 import sys
 
 from repro.obs.bench import load_payload
@@ -39,7 +43,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_BASELINE = os.path.join(
     REPO_ROOT, "benchmarks", "baselines", "BENCH_A09_baseline.json"
 )
-DEFAULT_TOLERANCE = 1.6
+TOLERANCE = 1.6
 
 
 def normalized_scores(doc) -> dict[str, float]:
@@ -51,23 +55,24 @@ def normalized_scores(doc) -> dict[str, float]:
     }
 
 
-def compare(baseline, current, default_tolerance=DEFAULT_TOLERANCE):
-    """(rows, regressions) over the case intersection.
+def compare(baseline, currents):
+    """(rows, regressions) over the cases the baseline shares with any payload.
 
-    Each row is ``(case_id, ratio, tolerance, verdict)`` where ratio is
-    the normalized current/baseline slowdown and verdict is ``"ok"`` or
-    ``"REGRESSION"``.
+    Each row is ``(case_id, median, ratios, verdict)``: the normalized
+    current/baseline slowdown in each payload that ran the case, their
+    median, and ``"ok"`` or ``"REGRESSION"``.
     """
     base_scores = normalized_scores(baseline)
-    cur_scores = normalized_scores(current)
-    tolerances = baseline.get("tolerances", {})
+    runs = [normalized_scores(doc) for doc in currents]
     rows = []
     regressions = []
-    for case_id in sorted(set(base_scores) & set(cur_scores)):
-        ratio = cur_scores[case_id] / base_scores[case_id]
-        tolerance = float(tolerances.get(case_id, default_tolerance))
-        verdict = "ok" if ratio <= tolerance else "REGRESSION"
-        rows.append((case_id, ratio, tolerance, verdict))
+    for case_id in sorted(base_scores):
+        ratios = [run[case_id] / base_scores[case_id] for run in runs if case_id in run]
+        if not ratios:
+            continue
+        median = statistics.median(ratios)
+        verdict = "ok" if median <= TOLERANCE else "REGRESSION"
+        rows.append((case_id, median, ratios, verdict))
         if verdict != "ok":
             regressions.append(case_id)
     return rows, regressions
@@ -75,17 +80,15 @@ def compare(baseline, current, default_tolerance=DEFAULT_TOLERANCE):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("current", help="BENCH_*.json produced by run_benchmarks.py")
+    parser.add_argument(
+        "current",
+        nargs="+",
+        help="BENCH_*.json payloads, each from its own run_benchmarks.py process",
+    )
     parser.add_argument(
         "--baseline",
         default=DEFAULT_BASELINE,
         help=f"committed baseline payload (default {os.path.relpath(DEFAULT_BASELINE)})",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help=f"max normalized slowdown ratio (default {DEFAULT_TOLERANCE})",
     )
     args = parser.parse_args(argv)
 
@@ -97,39 +100,49 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: invalid baseline: {exc}")
         return 2
-    try:
-        current = load_payload(args.current)
-    except FileNotFoundError:
-        print(f"error: current payload not found: {args.current}")
-        return 2
-    except ValueError as exc:
-        print(f"error: invalid current payload: {exc}")
-        return 2
+    currents = []
+    for path in args.current:
+        try:
+            currents.append(load_payload(path))
+        except FileNotFoundError:
+            print(f"error: current payload not found: {path}")
+            return 2
+        except ValueError as exc:
+            print(f"error: invalid current payload {path}: {exc}")
+            return 2
 
-    rows, regressions = compare(baseline, current, args.tolerance)
+    rows, regressions = compare(baseline, currents)
     if not rows:
         print("error: no overlapping case ids between baseline and current payload")
         return 2
 
     base_calib = float(baseline["host"]["calibration_ns"])
-    cur_calib = float(current["host"]["calibration_ns"])
     print(
         f"baseline {baseline['run']!r} sha {baseline['git_sha'][:12]} "
-        f"(calibration {base_calib / 1e6:.1f}ms) vs "
-        f"current {current['run']!r} sha {current['git_sha'][:12]} "
-        f"(calibration {cur_calib / 1e6:.1f}ms)"
+        f"(calibration {base_calib / 1e6:.1f}ms) vs {len(currents)} payload(s):"
     )
+    for doc in currents:
+        print(
+            f"  {doc['run']!r} sha {doc['git_sha'][:12]} "
+            f"(calibration {float(doc['host']['calibration_ns']) / 1e6:.1f}ms)"
+        )
     width = max(len(case_id) for case_id, *_ in rows)
-    for case_id, ratio, tolerance, verdict in rows:
+    for case_id, median, ratios, verdict in rows:
         marker = "ok  " if verdict == "ok" else "FAIL"
-        print(f"{marker} {case_id.ljust(width)}  x{ratio:5.2f}  (tolerance x{tolerance:.2f})")
-    skipped = set(normalized_scores(baseline)) - {case_id for case_id, *_ in rows}
+        spread = " ".join(f"{r:.2f}" for r in ratios)
+        print(f"{marker} {case_id.ljust(width)}  x{median:5.2f}  [{spread}]")
+    skipped = len(normalized_scores(baseline)) - len(rows)
     if skipped:
-        print(f"note: {len(skipped)} baseline case(s) absent from current run")
+        print(f"note: {skipped} baseline case(s) absent from every current run")
     if regressions:
-        print(f"{len(regressions)} case(s) regressed beyond tolerance: {regressions}")
+        print(
+            f"{len(regressions)} case(s) over x{TOLERANCE:.2f} in the median: {regressions}"
+        )
         return 1
-    print(f"all {len(rows)} common case(s) within tolerance")
+    print(
+        f"all {len(rows)} common case(s) within tolerance "
+        f"(median of {len(currents)} payload(s) <= x{TOLERANCE:.2f})"
+    )
     return 0
 
 

@@ -20,8 +20,9 @@ Usage::
     PYTHONPATH=src python scripts/run_benchmarks.py --tags batch merge
     PYTHONPATH=src python scripts/run_benchmarks.py --seed 7 --out BENCH_seed7.json
 
-The fast subset (~10 cases, well under 30s) is what CI runs before
-``scripts/check_perf_regression.py``.
+The fast subset (25 cases, ~9 s) is what CI runs, in five separate
+processes, before ``scripts/check_perf_regression.py`` gates the median
+of their calibration-normalized ratios.
 """
 
 import argparse
@@ -48,7 +49,7 @@ def main(argv=None) -> int:
         "--suite",
         choices=("fast", "full"),
         default="fast",
-        help="fast = the curated CI subset (~10 cases); full = every case",
+        help="fast = the curated CI subset (25 cases); full = every case",
     )
     parser.add_argument(
         "--tags",
@@ -80,24 +81,8 @@ def main(argv=None) -> int:
         default=None,
         help="output path (default BENCH_<run>.json in the cwd)",
     )
-    parser.add_argument(
-        "--tolerance",
-        action="append",
-        default=[],
-        metavar="CASE_ID=RATIO",
-        help="embed a per-case tolerance override in the payload (repeatable); "
-        "used when the payload is committed as a regression baseline — short "
-        "kernels (merges, serde) jitter more than long ingest loops",
-    )
     parser.add_argument("--quiet", action="store_true", help="suppress per-case lines")
     args = parser.parse_args(argv)
-
-    tolerances = {}
-    for spec in args.tolerance:
-        case_id, _, ratio = spec.partition("=")
-        if not ratio:
-            parser.error(f"--tolerance needs CASE_ID=RATIO, got {spec!r}")
-        tolerances[case_id] = float(ratio)
 
     runner = build_runner(seed=args.seed, repeats=args.repeats, warmup=args.warmup)
     if args.tags or args.ids:
@@ -129,8 +114,6 @@ def main(argv=None) -> int:
         },
         host=host_fingerprint(calibration_ns),
     )
-    if tolerances:
-        doc["tolerances"] = tolerances
     write_payload(out_path, doc)
     elapsed = time.perf_counter() - started
     print(

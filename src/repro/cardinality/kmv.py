@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from ..core import Estimate, MergeableSketch, z_score
-from ..core.batch import canonical_keys
+from ..core.batch import KeyedBatch, canonical_keys
 from ..hashing import HashFunction
 
 __all__ = ["KMVSketch"]
@@ -36,6 +36,8 @@ class KMVSketch(MergeableSketch):
     Internally a max-heap of the k smallest values so far, plus a set
     for O(1) duplicate detection.
     """
+
+    batch_form = KeyedBatch
 
     def __init__(self, k: int = 256, seed: int = 0) -> None:
         if k < 8:

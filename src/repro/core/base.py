@@ -30,6 +30,7 @@ attribute.
 
 from __future__ import annotations
 
+import copy
 import functools
 import time
 import types
@@ -129,6 +130,13 @@ def _instrument(op: str, fn):
 _INSTRUMENTED_OPS = ("update", "update_many", "merge")
 
 
+def _copy_attrs(sketch) -> dict:
+    """A deep copy of ``sketch``'s attributes; a bound metrics registry stays shared."""
+    attrs = vars(sketch)
+    registry = attrs.get("_obs_registry")
+    return copy.deepcopy(attrs, {id(registry): registry})
+
+
 class Sketch(ABC):
     """Base interface: update with items, query, serialize."""
 
@@ -166,6 +174,13 @@ class Sketch(ABC):
             ):
                 setattr(cls, op, _instrument(op, fn))
 
+    #: how ``update_many`` reads a batch, or None: a function of a list
+    #: of items that raises what ``update_many`` would raise for them and
+    #: returns a batch it then takes, with the same effect, without
+    #: raising (:class:`~repro.core.batch.KeyedBatch`,
+    #: :func:`~repro.core.batch.float_batch`, ...).
+    batch_form = None
+
     @abstractmethod
     def update(self, item: object) -> None:
         """Process one input item."""
@@ -182,7 +197,8 @@ class Sketch(ABC):
         ``items`` is one batch in stream order and ``gids`` an integer
         array of the same length indexing ``sketches``.  Each sketch ends
         as its ``update_many`` over its own items, in stream order, would
-        leave it; a sketch given no items is untouched.  Dispatches on the
+        leave it; a sketch given no items is untouched.  If an update
+        raises, no :class:`Sketch` is left changed.  Dispatches on the
         first sketch's class, like :meth:`MergeableSketch.merge_many`.  The
         default regroups the items and runs each sketch's own
         ``update_many`` (so also non-:class:`Sketch` objects that have
@@ -220,13 +236,28 @@ class Sketch(ABC):
         The one place that regroups records: a stable sort of ``gids``
         reorders the items (each group keeps its stream order, which
         order-dependent families need), and every sketch given items
-        runs ``update_many`` on its slice.
+        runs ``update_many`` on its slice.  All or nothing: a family with
+        a :attr:`batch_form` has the whole batch checked by it before any
+        update; otherwise each :class:`Sketch` given items has its
+        attributes copied first and restored if an update raises.
         """
         order, slices = group_slices(gids, len(sketches))
         ordered = np.fromiter(items, dtype=object, count=len(items))[order].tolist()
-        for sketch, (lo, hi) in zip(sketches, slices):
-            if hi > lo:
-                sketch.update_many(ordered[lo:hi])
+        form = getattr(type(sketches[0]), "batch_form", None)
+        if form is not None:
+            ordered = form(ordered)
+        work = [(sk, ordered[lo:hi]) for sk, (lo, hi) in zip(sketches, slices) if hi > lo]
+        saved = [] if form is not None else [
+            (sk, _copy_attrs(sk)) for sk, _ in work if isinstance(sk, Sketch)
+        ]
+        try:
+            for sketch, part in work:
+                sketch.update_many(part)
+        except BaseException:
+            for sketch, attrs in saved:
+                vars(sketch).clear()
+                vars(sketch).update(attrs)
+            raise
 
     @abstractmethod
     def state_dict(self) -> dict:

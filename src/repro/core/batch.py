@@ -31,6 +31,11 @@ Batch-update protocol
 - State after ``update_many`` is identical to the equivalent sequence
   of scalar ``update`` calls — including RNG consumption for the
   randomized quantile sketches.
+- A family's ``batch_form`` (:class:`KeyedBatch`, :func:`float_batch`,
+  :func:`hashable_batch`) checks a whole batch as its ``update_many``
+  would and returns it in a form ``update_many`` then takes, with the
+  same effect, without raising.  The GROUP BY default kernel applies
+  it to the whole batch before any group is updated.
 - Sketches configured with the byte-based ``"murmur3"`` hash family
   fall back to the per-item path (keys cannot reproduce byte hashing);
   all key-based families (``mix``, ``kwise2``, ``kwise4``,
@@ -77,9 +82,12 @@ import numpy as np
 from ..hashing import item_to_u64
 
 __all__ = [
+    "KeyedBatch",
     "canonical_keys",
     "canonical_weights",
+    "float_batch",
     "group_slices",
+    "hashable_batch",
     "hll_registers",
     "register_update",
 ]
@@ -101,7 +109,10 @@ def canonical_keys(items) -> np.ndarray:
 
     Raises ``TypeError`` for items outside the canonicalizable set
     (same contract as scalar updates, but before any state mutation).
+    A :class:`KeyedBatch` hands back the keys it already holds.
     """
+    if type(items) is KeyedBatch:
+        return items.keys
     if isinstance(items, np.ndarray):
         if items.ndim != 1:
             raise TypeError(
@@ -128,6 +139,44 @@ def canonical_keys(items) -> np.ndarray:
             if int(keys.min()) >= 0:
                 return keys.view(np.uint64)
     return np.fromiter((item_to_u64(x) for x in items), dtype=np.uint64, count=n)
+
+
+class KeyedBatch:
+    """A batch of items with their canonical keys, computed once.
+
+    Building one raises what :func:`canonical_keys` raises, so every
+    item is checked before any sketch sees the batch.  Given one,
+    ``canonical_keys`` returns the stored keys, and iterating it yields
+    the items (the per-item path of a ``murmur3`` sketch hashes their
+    bytes, whose domain is the same).  Slicing slices both.
+    """
+
+    __slots__ = ("items", "keys")
+
+    def __init__(self, items, keys=None) -> None:
+        self.items = items
+        self.keys = canonical_keys(items) if keys is None else keys
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __getitem__(self, index: slice) -> "KeyedBatch":
+        return KeyedBatch(self.items[index], self.keys[index])
+
+
+def float_batch(items) -> np.ndarray:
+    """A batch of values as float64, each through ``float`` (raising what it raises)."""
+    return np.fromiter(map(float, items), dtype=np.float64, count=len(items))
+
+
+def hashable_batch(items) -> list:
+    """The batch unchanged, once every item hashes (``TypeError`` if one does not)."""
+    for item in items:
+        hash(item)
+    return items
 
 
 def canonical_weights(weights, n: int) -> np.ndarray:

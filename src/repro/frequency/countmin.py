@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from ..core import DeserializationError, MergeableSketch
-from ..core.batch import canonical_keys, canonical_weights
+from ..core.batch import KeyedBatch, canonical_keys, canonical_weights
 from ..hashing import HashFamily
 
 __all__ = ["CountMinSketch"]
@@ -50,6 +50,8 @@ class CountMinSketch(MergeableSketch):
     seed:
         Hash seed; merging requires equal (width, depth, seed).
     """
+
+    batch_form = KeyedBatch
 
     def __init__(
         self,

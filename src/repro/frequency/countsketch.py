@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from ..core import MergeableSketch
-from ..core.batch import canonical_keys, canonical_weights
+from ..core.batch import KeyedBatch, canonical_keys, canonical_weights
 from ..hashing import HashFamily
 
 __all__ = ["CountSketch"]
@@ -33,6 +33,8 @@ __all__ = ["CountSketch"]
 
 class CountSketch(MergeableSketch):
     """Count Sketch frequency estimator (turnstile, two-sided error)."""
+
+    batch_form = KeyedBatch
 
     def __init__(self, width: int = 2048, depth: int = 5, seed: int = 0) -> None:
         if width < 2:

@@ -11,12 +11,15 @@ from __future__ import annotations
 from collections import Counter
 
 from ..core import MergeableSketch
+from ..core.batch import hashable_batch
 
 __all__ = ["ExactFrequency"]
 
 
 class ExactFrequency(MergeableSketch):
     """Exact counts — the unbounded-memory baseline."""
+
+    batch_form = staticmethod(hashable_batch)
 
     def __init__(self) -> None:
         self._counts: Counter = Counter()

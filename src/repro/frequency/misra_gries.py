@@ -17,12 +17,15 @@ property experiment E7 checks exactly.
 from __future__ import annotations
 
 from ..core import MergeableSketch
+from ..core.batch import hashable_batch
 
 __all__ = ["MisraGries"]
 
 
 class MisraGries(MergeableSketch):
     """Deterministic top-k frequency summary with ``k`` counters."""
+
+    batch_form = staticmethod(hashable_batch)
 
     def __init__(self, k: int = 64) -> None:
         if k < 1:

@@ -24,6 +24,7 @@ import heapq
 import numpy as np
 
 from ..core import MergeableSketch
+from ..core.batch import hashable_batch
 
 __all__ = ["SpaceSaving"]
 
@@ -37,6 +38,8 @@ class SpaceSaving(MergeableSketch):
     Implementation: dict of live entries + a lazily-rebuilt min-heap for
     eviction, giving amortized O(log k) updates.
     """
+
+    batch_form = staticmethod(hashable_batch)
 
     def __init__(self, k: int = 64) -> None:
         if k < 1:

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from ..core import MergeableSketch
-from ..core.batch import canonical_keys
+from ..core.batch import KeyedBatch, canonical_keys
 from ..hashing import HashFamily
 
 __all__ = ["BloomFilter", "CountingBloomFilter", "optimal_bloom_parameters"]
@@ -48,6 +48,8 @@ class BloomFilter(MergeableSketch):
     Construct either directly (``m``, ``k``) or from a capacity plan
     with :meth:`for_capacity`.
     """
+
+    batch_form = KeyedBatch
 
     def __init__(self, m: int = 8192, k: int = 4, seed: int = 0) -> None:
         if m < 8:
@@ -183,6 +185,8 @@ class CountingBloomFilter(MergeableSketch):
     saturated cell can no longer be decremented reliably — the classic
     counting-Bloom caveat; 16-bit cells make saturation negligible.
     """
+
+    batch_form = KeyedBatch
 
     def __init__(self, m: int = 8192, k: int = 4, seed: int = 0) -> None:
         if m < 8:

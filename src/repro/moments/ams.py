@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Estimate, MergeableSketch
-from ..core.batch import canonical_keys, canonical_weights
+from ..core.batch import KeyedBatch, canonical_keys, canonical_weights
 from ..hashing import FourWiseHash, item_to_u64, splitmix64_array
 
 __all__ = ["AMSSketch"]
@@ -46,6 +46,8 @@ class AMSSketch(MergeableSketch):
     seed:
         Hash seed; equal seeds ⇒ mergeable and inner-product-comparable.
     """
+
+    batch_form = KeyedBatch
 
     def __init__(
         self,

@@ -115,8 +115,8 @@ partials with the k-way KLL merge kernel (``merge_many``), so
 answers "what was p99 between t0 and t1" with the same rank guarantee
 as a live histogram; ``recorder.series(...)`` re-buckets windows onto
 a ``step`` grid for dashboards.  Overhead is gated in CI by
-``scripts/check_timeline_overhead.py`` (no recorder <2%, running 1 s
-recorder <5%, the A7 paired protocol).
+``scripts/check_overhead.py`` (a recorder never started <2%, a running
+1 s recorder <5%, the A7 paired protocol).
 
 Profiling (statistical, span-keyed)
 -----------------------------------
@@ -153,8 +153,8 @@ with retry/backoff) and the engine meters itself
 ``repro_alerts_firing``, ``repro_alert_eval_seconds``).
 ``ObsServer`` serves the rule states at ``/alerts``, folds firing
 critical alerts into ``/healthz``, and panels them on ``/dashboard``;
-``scripts/check_alert_pipeline.py`` gates detector sanity and <5%
-evaluation overhead in CI.
+``tests/obs/test_alert_pipeline.py`` gates detector sanity, and
+``scripts/check_overhead.py`` a running engine's <5% overhead, in CI.
 
 Lifecycle
 ---------
@@ -192,10 +192,10 @@ against the raw kernels (still reachable as
 ``update_many.__wrapped__``): disabled is indistinguishable from
 uninstrumented (within noise, bound <2%) and fully enabled costs
 under 1% on HLL/CountMin/Bloom/KLL batch ingest (bound <5%).
-``scripts/check_obs_overhead.py`` enforces both bounds in CI, and
-``scripts/check_trace_overhead.py`` holds tracing to the same
-discipline (disabled <2%, enabled <5%): the combined metrics+tracing
-disabled path is still a single shared hot-flag attribute load.
+``scripts/check_overhead.py`` enforces both bounds in CI and holds
+tracing to the same discipline (disabled <2%, enabled <5%): the
+combined metrics+tracing disabled path is still a single shared
+hot-flag attribute load.
 """
 
 from . import bench

@@ -65,8 +65,8 @@ it watches: ``repro_alert_evaluations_total``,
 
 ``ObsServer`` serves the engine at ``GET /alerts`` and folds firing
 severity≥critical alerts into the ``/healthz`` verdict; overhead of a
-running 1 s engine is gated under 5% by
-``scripts/check_alert_pipeline.py`` (the A7 paired protocol).
+running 1 s engine is gated under 5% by the ``engine`` row of
+``scripts/check_overhead.py`` (the A7 paired protocol).
 """
 
 from __future__ import annotations

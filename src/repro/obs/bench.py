@@ -172,8 +172,10 @@ def interleaved_ns(
 
     ``variants`` is ``[(name, setup_or_None, run)]`` or
     ``[(name, setup, run, teardown)]``; each round times every
-    variant's ``run(state)`` once, in order, so slow scheduler drift
-    degrades all arms equally instead of biasing whichever ran last.
+    variant's ``run(state)`` once, so slow scheduler drift degrades all
+    arms equally.  Round ``i`` starts at variant ``i mod n`` and wraps
+    around: in a fixed order the arm that always ran first (after the
+    previous round's teardown) read a steady few percent off the others.
     ``setup``/``teardown`` run untimed around each sample (teardown is
     where an overhead check restores a swapped registry or tracer).
     Returns the ns samples per variant, aligned by round (sample ``i``
@@ -184,8 +186,9 @@ def interleaved_ns(
     samples: dict[str, list[int]] = {name: [] for name, _, _, _ in normalized}
     if len(samples) != len(normalized):
         raise ValueError("variant names must be unique")
-    for _ in range(repeats):
-        for name, setup, run, teardown in normalized:
+    for i in range(repeats):
+        k = i % len(normalized)
+        for name, setup, run, teardown in normalized[k:] + normalized[:k]:
             state = setup() if setup is not None else None
             start = time.perf_counter_ns()
             run(state)

@@ -27,7 +27,7 @@ telemetry plane):
 The recorder is **off by default**: nothing records until
 :meth:`~TimelineRecorder.start` (or an explicit :meth:`tick`), and the
 per-observation mirror cost exists only while a recorder is attached —
-``scripts/check_timeline_overhead.py`` holds the no-recorder path
+``scripts/check_overhead.py`` holds a recorder that was never started
 under 2% and a running 1 s recorder under 5%, via the
 :mod:`repro.obs.bench` paired-overhead protocol.
 

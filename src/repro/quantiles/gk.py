@@ -24,6 +24,7 @@ from __future__ import annotations
 import bisect
 import math
 
+from ..core.batch import float_batch
 from .base import QuantileSketch
 
 __all__ = ["GKSketch"]
@@ -31,6 +32,8 @@ __all__ = ["GKSketch"]
 
 class GKSketch(QuantileSketch):
     """Greenwald–Khanna ε-approximate quantile summary."""
+
+    batch_form = staticmethod(float_batch)
 
     def __init__(self, epsilon: float = 0.01) -> None:
         if not 0.0 < epsilon < 0.5:

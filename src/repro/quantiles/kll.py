@@ -33,6 +33,7 @@ from itertools import chain
 
 import numpy as np
 
+from ..core.batch import float_batch
 from ..core.exceptions import DeserializationError
 from ..core.serde import Layout, unpack_rng_state
 from .base import QuantileSketch
@@ -206,6 +207,7 @@ class KLLSketch(QuantileSketch):
     Reads bisect a sorted view (:func:`sorted_view`) cached until the next mutation.
     """
 
+    batch_form = staticmethod(float_batch)
     wire_layout = COMPACTOR_LAYOUT
 
     def __init__(self, k: int = 200, seed: int = 0) -> None:

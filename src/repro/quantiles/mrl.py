@@ -20,6 +20,7 @@ capacities.
 
 from __future__ import annotations
 
+from ..core.batch import float_batch
 from .base import QuantileSketch
 
 __all__ = ["MRLSketch"]
@@ -27,6 +28,8 @@ __all__ = ["MRLSketch"]
 
 class MRLSketch(QuantileSketch):
     """MRL deterministic quantile summary: ``b`` buffers × ``k`` items."""
+
+    batch_form = staticmethod(float_batch)
 
     def __init__(self, k: int = 128, b: int = 8) -> None:
         if k < 2:

@@ -23,6 +23,7 @@ E6's suite and tested below), the exact constants are not.
 
 from __future__ import annotations
 
+from ..core.batch import float_batch
 from .base import QuantileSketch
 from .kll import COMPACTOR_LAYOUT, Coins, bulk_insert, footprint_of, gather_levels
 from .kll import levels_from_state, levels_to_state, sorted_view, view_quantile, view_rank
@@ -43,6 +44,7 @@ class ReqSketch(QuantileSketch):
     Reads bisect the cached sorted view shared with :class:`KLLSketch`.
     """
 
+    batch_form = staticmethod(float_batch)
     wire_layout = COMPACTOR_LAYOUT
 
     def __init__(self, k: int = 64, seed: int = 0) -> None:

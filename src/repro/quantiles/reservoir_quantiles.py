@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 
+from ..core.batch import float_batch
 from ..sampling.reservoir import ReservoirSampler
 from .base import QuantileSketch
 
@@ -19,6 +20,8 @@ __all__ = ["ReservoirQuantiles"]
 
 class ReservoirQuantiles(QuantileSketch):
     """Quantile queries over a uniform reservoir sample of size ``k``."""
+
+    batch_form = staticmethod(float_batch)
 
     def __init__(self, k: int = 1024, seed: int = 0) -> None:
         if k < 2:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 
+from ..core.batch import float_batch
 from .base import QuantileSketch
 
 __all__ = ["TDigest"]
@@ -29,6 +30,8 @@ __all__ = ["TDigest"]
 
 class TDigest(QuantileSketch):
     """Merging t-digest with compression parameter ``delta``."""
+
+    batch_form = staticmethod(float_batch)
 
     def __init__(self, delta: float = 100.0, buffer_size: int = 512) -> None:
         if delta < 10:

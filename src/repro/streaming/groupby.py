@@ -69,7 +69,9 @@ class GroupBySketcher:
         and one :meth:`~repro.core.Sketch.update_grouped` call takes the
         records in stream order plus their group ids; no records are
         reordered here.  Each group ends as per-record :meth:`process`
-        would leave it.  Custom update functions take the per-record path.
+        would leave it.  A batch that raises changes nothing: no group is
+        created and no sketch is updated.  Custom update functions take
+        the per-record path.
         """
         if not self._default_update:
             for record in records:
@@ -85,14 +87,14 @@ class GroupBySketcher:
             dtype=np.min_scalar_type(len(ids)),
             count=len(group_keys),
         )
-        sketches = []
+        sketches, created = [], {}
         for key in ids:
             sketch = self._groups.get(key)
             if sketch is None:
-                sketch = self.sketch_factory()
-                self._groups[key] = sketch
+                sketch = created[key] = self.sketch_factory()
             sketches.append(sketch)
         Sketch.update_grouped(sketches, records, gids)
+        self._groups.update(created)
         self.n_records += len(records)
 
     def get(self, key: Any) -> Any | None:

@@ -87,7 +87,8 @@ def test_interleaved_ns_aligns_rounds_and_runs_teardown():
         ],
         repeats=3,
     )
-    assert order == ["a", "state"] * 3  # strict per-round interleaving
+    # every arm once per round, the first arm rotating between rounds
+    assert order == ["a", "state", "state", "a", "a", "state"]
     assert torn_down == ["state"] * 3
     assert len(samples["a"]) == len(samples["b"]) == 3
 

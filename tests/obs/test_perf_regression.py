@@ -1,9 +1,9 @@
 """Exit-code contract of ``scripts/check_perf_regression.py``.
 
 The gate is CI's interface to the performance observatory, so its exit
-codes are API: 0 = all common cases within tolerance, 1 = at least one
-calibration-normalized regression, 2 = missing/invalid inputs
-(including disjoint case sets).  Payloads are synthesized — no real
+codes are API: 0 = every common case's median ratio over the payloads
+within x1.6, 1 = at least one calibration-normalized regression,
+2 = missing/invalid inputs (including disjoint case sets).  Payloads are synthesized — no real
 timing — so the verdicts are exact and the suite is fast.
 """
 
@@ -122,25 +122,63 @@ def test_calibration_normalization_still_catches_real_regression(tmp_path):
     assert run_gate(current, "--baseline", baseline).returncode == 1
 
 
-def test_per_case_tolerance_override(tmp_path):
-    baseline = write(
-        tmp_path,
-        "base.json",
-        make_payload(BASE, tolerances={"update/HLL/scalar": 3.0}),
-    )
-    current = write(
-        tmp_path, "cur.json", make_payload({"update/HLL/scalar": 250.0})
-    )
-    proc = run_gate(current, "--baseline", baseline)
-    assert proc.returncode == 0, proc.stdout
-    assert "x3.00" in proc.stdout
-
-
-def test_tolerance_flag(tmp_path):
+def test_one_outlier_payload_passes(tmp_path):
+    # one process in five reads a case 2.5x slow: the median is 1.0
     baseline = write(tmp_path, "base.json", make_payload(BASE))
-    current = write(tmp_path, "cur.json", make_payload({"update/HLL/scalar": 130.0}))
-    assert run_gate(current, "--baseline", baseline, "--tolerance", "1.2").returncode == 1
-    assert run_gate(current, "--baseline", baseline, "--tolerance", "1.5").returncode == 0
+    runs = [write(tmp_path, f"cur{i}.json", make_payload(BASE)) for i in range(4)]
+    outlier = dict(BASE, **{"update/HLL/scalar": 250.0})
+    runs.append(write(tmp_path, "outlier.json", make_payload(outlier)))
+    proc = run_gate(*runs, "--baseline", baseline)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "median of 5 payload(s)" in proc.stdout
+    assert "2.50" in proc.stdout  # the outlier's ratio is still reported
+
+
+def test_majority_over_the_bound_fails(tmp_path):
+    # three processes in five read the case over x1.6: the median is over
+    baseline = write(tmp_path, "base.json", make_payload(BASE))
+    slow = dict(BASE, **{"update/HLL/scalar": 170.0})
+    runs = [write(tmp_path, f"slow{i}.json", make_payload(slow)) for i in range(3)]
+    runs += [write(tmp_path, f"ok{i}.json", make_payload(BASE)) for i in range(2)]
+    proc = run_gate(*runs, "--baseline", baseline)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL update/HLL/scalar" in proc.stdout
+    assert "ok   update/KLL/batch" in proc.stdout
+
+
+def test_median_normalizes_each_payload_by_its_own_calibration(tmp_path):
+    # each process's host speed differs; each payload is divided by its own
+    # calibration before the median, so uniformly slower processes pass
+    baseline = write(tmp_path, "base.json", make_payload(BASE, calibration_ns=1e7))
+    runs = [
+        write(
+            tmp_path,
+            f"cur{i}.json",
+            make_payload(
+                {case: v * speed for case, v in BASE.items()}, calibration_ns=1e7 * speed
+            ),
+        )
+        for i, speed in enumerate((1.0, 2.0, 3.0))
+    ]
+    assert run_gate(*runs, "--baseline", baseline).returncode == 0
+
+
+def test_tolerance_is_not_configurable(tmp_path):
+    loose = make_payload(BASE, tolerances={"update/HLL/scalar": 3.0})
+    baseline = write(tmp_path, "base.json", loose)
+    current = write(tmp_path, "cur.json", make_payload({"update/HLL/scalar": 250.0}))
+    # a "tolerances" map in the baseline loosens nothing
+    assert run_gate(current, "--baseline", baseline).returncode == 1
+    # and there is no flag for it
+    assert run_gate(current, "--baseline", baseline, "--tolerance", "3.0").returncode == 2
+
+
+def test_one_missing_payload_among_several_is_an_input_error(tmp_path):
+    baseline = write(tmp_path, "base.json", make_payload(BASE))
+    current = write(tmp_path, "cur.json", make_payload(BASE))
+    proc = run_gate(current, str(tmp_path / "nope.json"), "--baseline", baseline)
+    assert proc.returncode == 2
+    assert "current payload not found" in proc.stdout
 
 
 def test_exit_2_missing_baseline(tmp_path):

@@ -23,11 +23,14 @@ from repro import (
     HyperLogLogPlusPlus,
     KLLSketch,
     LogLog,
+    QDigest,
     SpaceSaving,
     StreamPipeline,
+    TDigest,
 )
 from repro.core import IncompatibleSketchError, Sketch
-from repro.hashing import item_to_u64
+from repro.hashing import HashFamily, item_to_u64
+from repro.obs import MetricsRegistry, bind_registry
 from repro.streaming import GroupBySketcher
 
 
@@ -107,25 +110,82 @@ def test_process_many_empty_batch_is_a_noop(family):
     assert gb.n_records == 3
 
 
-def test_quantile_groups_match_per_record_process():
+@pytest.mark.parametrize(
+    "factory",
+    # TDigest compacts whenever 16 values are buffered: a batched GROUP BY
+    # that compacted anywhere else would end with other centroids
+    [lambda: KLLSketch(k=16, seed=2), lambda: TDigest(buffer_size=16)],
+    ids=["kll", "tdigest"],
+)
+def test_quantile_groups_match_per_record_process(factory):
     rng = np.random.default_rng(5)
     records = rng.normal(size=3000).tolist()
     group_fn = grouped(["a", "b", ("c", 1), None])
-    batched = GroupBySketcher(group_fn, lambda: KLLSketch(k=16, seed=2))
-    sequential = GroupBySketcher(group_fn, lambda: KLLSketch(k=16, seed=2))
+    batched = GroupBySketcher(group_fn, factory)
+    sequential = GroupBySketcher(group_fn, factory)
     StreamPipeline(records).feed(batched, batch_size=777)
     for record in records:
         sequential.process(record)
     assert_same_groups(batched, sequential)
 
 
-def test_uncanonicalizable_record_leaves_existing_groups_untouched():
-    gb = GroupBySketcher(lambda record: type(record).__name__, lambda: HyperLogLog(p=6))
-    gb.process_many([1, 2, "x", "y"])
+def murmur3_countmin():
+    sketch = CountMinSketch(width=64, depth=3, seed=1)
+    sketch._hashes = HashFamily(3, seed=1, family="murmur3")
+    return sketch
+
+
+@pytest.mark.parametrize(
+    "factory, first, failing, error",
+    [
+        (lambda: HyperLogLog(p=6), [1, 2, "x", "y"], [3, "z", object()], TypeError),
+        (
+            lambda: CountMinSketch(width=64, depth=3, seed=1),
+            [1, 2, "x"],
+            [3, "y", object()],
+            TypeError,
+        ),
+        (murmur3_countmin, [1, 2, "x"], [3, "y", object()], TypeError),
+        (lambda: SpaceSaving(k=4), [1, 2, "x"], [3, "y", []], TypeError),
+        (lambda: KLLSketch(k=16, seed=2), [1, 2, 1.5], [3, 2.5, "y"], ValueError),
+        (lambda: TDigest(buffer_size=16), [1, 2, 1.5], [3, 2.5, "y"], ValueError),
+        # no batch form: the default kernel copies and restores the groups
+        (lambda: QDigest(universe_bits=4), [1, 2], [3, True, 99], ValueError),
+    ],
+    ids=["hll", "countmin", "countmin-murmur3", "spacesaving", "kll", "tdigest", "qdigest"],
+)
+def test_uncanonicalizable_record_leaves_existing_groups_untouched(
+    factory, first, failing, error
+):
+    # the failing batch's last group rejects its record, after the groups
+    # before it in the batch: the batch must change nothing
+    gb = GroupBySketcher(lambda record: type(record).__name__, factory)
+    gb.process_many(first)
     before = {key: sketch.to_bytes() for key, sketch in gb.items()}
-    with pytest.raises(TypeError):
-        gb.process_many([3, "z", object()])
+    n_records = gb.n_records
+    with pytest.raises(error):
+        gb.process_many(failing)
+    assert gb.keys() == list(before)
     assert {key: gb[key].to_bytes() for key in before} == before
+    assert gb.n_records == n_records
+    gb.process_many(failing[:-1])  # the restored sketches keep working
+    assert gb.n_records == n_records + len(failing) - 1
+
+
+def test_default_kernel_restores_a_group_its_update_left_half_done():
+    # QDigest has no batch form and inserts value by value, so the bad
+    # value raises after the one before it in its group (and the group
+    # before it) went in; a bound registry survives the restore
+    registry = MetricsRegistry()
+    sketches = [QDigest(universe_bits=4), QDigest(universe_bits=4)]
+    for sketch in sketches:
+        sketch.update_many([3, 7])
+        bind_registry(sketch, registry)
+    before = [sketch.to_bytes() for sketch in sketches]
+    with pytest.raises(ValueError):
+        Sketch.update_grouped(sketches, [1, 2, 3, 99, 4], [0, 1, 1, 1, 1])
+    assert [sketch.to_bytes() for sketch in sketches] == before
+    assert all(sketch._obs_registry is registry for sketch in sketches)
 
 
 def test_grouped_kernel_rejects_mismatched_sketches_before_any_update():
@@ -136,13 +196,18 @@ def test_grouped_kernel_rejects_mismatched_sketches_before_any_update():
 
 
 #: ``update_grouped`` kernels: the register kernel (HLL, LogLog) and the
-#: default regrouping kernel (order-dependent families).
+#: default regrouping kernel (order-dependent families), with each batch
+#: form and without one (QDigest).
 KERNEL_FACTORIES = {
     "hll": (FACTORIES["hll"], ITEMS),
     "loglog": (FACTORIES["loglog"], ITEMS),
     "hllpp": (FACTORIES["hllpp"], ITEMS),
     "spacesaving": (FACTORIES["spacesaving"], ITEMS),
     "kll": (lambda: KLLSketch(k=8, seed=2), st.floats(allow_nan=False)),
+    "countmin": (FACTORIES["countmin"], ITEMS),
+    "countmin-murmur3": (murmur3_countmin, ITEMS),
+    "tdigest": (lambda: TDigest(buffer_size=16), st.floats(allow_nan=False)),
+    "qdigest": (lambda: QDigest(universe_bits=4), st.integers(0, 15)),
 }
 
 
