@@ -69,13 +69,11 @@ import sys
 import threading
 import time
 from collections.abc import Callable
-from contextlib import nullcontext
 
 from ..core import MergeableSketch
 from ..obs.registry import STATE as _OBS
 from ..obs.registry import MetricsRegistry, get_registry
-from ..obs.trace import TRACE as _TRACE
-from ..obs.trace import get_tracer
+from ..obs.trace import op_span
 
 __all__ = ["ConcurrentSketch"]
 
@@ -267,12 +265,7 @@ class ConcurrentSketch:
     def _propagate(self, buf: _LocalBuffer) -> None:
         """Hand the full buffer to the global pair (amortized slow path)."""
         fresh = self.factory()
-        ctx = (
-            get_tracer().span("concurrent.propagate", items=buf.n)
-            if _TRACE.enabled
-            else nullcontext()
-        )
-        with ctx, self._lock:
+        with op_span("concurrent.propagate", items=buf.n), self._lock:
             if buf.retired:
                 return  # compact() owns it now; the drain will fold it
             # Epoch odd BEFORE the buffer is swapped empty: until the
@@ -336,12 +329,7 @@ class ConcurrentSketch:
         """
         if not self._retiring:
             return
-        ctx = (
-            get_tracer().span("concurrent.drain", retiring=len(self._retiring))
-            if _TRACE.enabled
-            else nullcontext()
-        )
-        with ctx as span:
+        with op_span("concurrent.drain", retiring=len(self._retiring)) as span:
             foldable = [b for b in self._retiring if not b.counter & 1]
             if foldable:
                 # Epoch odd BEFORE the retiring list shrinks: a
@@ -355,8 +343,7 @@ class ConcurrentSketch:
                 finally:
                     self._epoch += 1  # even: consistent again
                 self.n_drained += len(foldable)
-            if span is not None:
-                span.attributes["folded"] = len(foldable)
+            span.attributes["folded"] = len(foldable)
         if foldable and _OBS.enabled:
             self._registry().counter(
                 "repro_concurrent_drain_total",
@@ -496,15 +483,9 @@ class ConcurrentSketch:
         snapshots until folded, so updates racing ``compact`` are never
         dropped.
         """
-        ctx = (
-            get_tracer().span("concurrent.compact")
-            if _TRACE.enabled
-            else nullcontext()
-        )
-        with ctx as span, self._lock:
+        with op_span("concurrent.compact") as span, self._lock:
             self.n_compactions += 1
-            if span is not None:
-                span.attributes["retired"] = len(self._buffers)
+            span.attributes["retired"] = len(self._buffers)
             retired_now = self._buffers
             for buf in retired_now:
                 buf.retired = True

@@ -18,32 +18,30 @@ instrumentation through every concrete sketch: each class's
 shim that, when observability is enabled, records op counts, item
 counts and wall time into the active metrics registry via
 :meth:`Sketch._observe` — subclass kernels inherit the telemetry for
-free.  The same shims emit one :mod:`repro.obs.trace` span per
-batch-level call (``update_many``/``merge``/``merge_many``/
-``to_bytes``/``from_bytes``) when tracing is enabled, nesting under
-whatever span the caller has open.  When both subsystems are disabled
-(the default) the shim is a single attribute check (the shared
-``HOT`` flag), benchmarked at <2% ``update_many`` overhead (A7/A8).
-The raw kernel stays reachable as the wrapper's ``__wrapped__``
-attribute.
+free.  Every batch-level op (``update_many``/``merge``/``merge_many``/
+``update_grouped``/``to_bytes``/``from_bytes``/:func:`from_bytes_any`)
+runs its body once, inside :func:`repro.obs.trace.op_span`: a span
+nesting under whatever span the caller has open when tracing is on, a
+plain timer otherwise, whose ``duration`` is what the registry
+records.  When both subsystems are disabled (the default) each op
+first checks a single attribute (the shared ``HOT`` flag) and runs
+bare, benchmarked at <2% ``update_many`` overhead (A7/A8).  The raw
+kernel stays reachable as the wrapper's ``__wrapped__`` attribute.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
-import time
 import types
 from abc import ABC, abstractmethod
-from contextlib import nullcontext
 
 import numpy as np
 
 from ..obs.registry import HOT as _HOT
 from ..obs.registry import STATE as _OBS
 from ..obs.registry import get_registry as _get_registry
-from ..obs.trace import TRACE as _TRACE
-from ..obs.trace import get_tracer as _get_tracer
+from ..obs.trace import op_span
 from .batch import group_slices
 from .exceptions import DeserializationError, IncompatibleSketchError
 from .serde import LAYOUTS, blob_nbytes, dump_sketch, load_header
@@ -65,9 +63,8 @@ def _instrument(op: str, fn):
     of the metrics and tracing switches).  Per-item ``update`` is
     counted but neither timed nor traced (two clock reads per
     nanosecond-scale call would distort the path being measured);
-    batch-level ops record wall time into the registry's KLL latency
-    histograms and, when tracing is on, emit one nestable span per
-    call into the active :class:`~repro.obs.Tracer`.
+    batch-level ops run inside :func:`~repro.obs.trace.op_span` and
+    record its duration into the registry's KLL latency histograms.
     """
     if op == "update":
 
@@ -91,18 +88,10 @@ def _instrument(op: str, fn):
             except TypeError:
                 items = list(items)
                 n = len(items)
-            if _TRACE.enabled:
-                with _get_tracer().span(
-                    f"{type(self).__name__}.update_many", items=n
-                ) as span:
-                    result = fn(self, items, *args, **kwargs)
-                elapsed = span.duration
-            else:
-                start = time.perf_counter()
+            with op_span(f"{type(self).__name__}.update_many", items=n) as span:
                 result = fn(self, items, *args, **kwargs)
-                elapsed = time.perf_counter() - start
             if _OBS.enabled:
-                self._observe("update_many", n, elapsed)
+                self._observe("update_many", n, span.duration)
             return result
 
     else:  # merge
@@ -111,16 +100,10 @@ def _instrument(op: str, fn):
         def wrapper(self, *args, **kwargs):
             if not _HOT.flag:
                 return fn(self, *args, **kwargs)
-            if _TRACE.enabled:
-                with _get_tracer().span(f"{type(self).__name__}.{op}") as span:
-                    result = fn(self, *args, **kwargs)
-                elapsed = span.duration
-            else:
-                start = time.perf_counter()
+            with op_span(f"{type(self).__name__}.{op}") as span:
                 result = fn(self, *args, **kwargs)
-                elapsed = time.perf_counter() - start
             if _OBS.enabled:
-                self._observe(op, 1, elapsed)
+                self._observe(op, 1, span.duration)
             return result
 
     wrapper.__obs_instrumented__ = True
@@ -219,15 +202,11 @@ class Sketch(ABC):
         if not _HOT.flag or kernel.__func__ is Sketch._update_grouped_impl.__func__:
             kernel(sketches, items, gids)
             return
-        n, ctx = len(items), nullcontext()
-        if _TRACE.enabled:
-            name = f"{type(first).__name__}.update_grouped"
-            ctx = _get_tracer().span(name, items=n, groups=len(sketches))
-        start = time.perf_counter()
-        with ctx:
+        name, n = f"{type(first).__name__}.update_grouped", len(items)
+        with op_span(name, items=n, groups=len(sketches)) as span:
             kernel(sketches, items, gids)
         if _OBS.enabled:
-            first._observe("update_many", n, time.perf_counter() - start)
+            first._observe("update_many", n, span.duration)
 
     @classmethod
     def _update_grouped_impl(cls, sketches: list, items, gids) -> None:
@@ -311,49 +290,20 @@ class Sketch(ABC):
 
     def to_bytes(self) -> bytes:
         """Serialize to the versioned binary wire format."""
-        if not _HOT.flag:
-            return dump_sketch(type(self).__name__, self.state_dict())
         name = type(self).__name__
-        if _TRACE.enabled:
-            with _get_tracer().span(f"{name}.to_bytes") as span:
-                blob = dump_sketch(name, self.state_dict())
-                span.attributes["nbytes"] = len(blob)
-            elapsed = span.duration
-        else:
-            start = time.perf_counter()
+        if not _HOT.flag:
+            return dump_sketch(name, self.state_dict())
+        with op_span(f"{name}.to_bytes") as span:
             blob = dump_sketch(name, self.state_dict())
-            elapsed = time.perf_counter() - start
+            span.attributes["nbytes"] = len(blob)
         if _OBS.enabled:
-            self._observe("to_bytes", 1, elapsed, nbytes=len(blob))
+            self._observe("to_bytes", 1, span.duration, nbytes=len(blob))
         return blob
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Sketch":
         """Deserialize a sketch of exactly this class."""
-        start = time.perf_counter() if _HOT.flag else 0.0
-        ctx = (
-            _get_tracer().span(f"{cls.__name__}.from_bytes", nbytes=len(data))
-            if _TRACE.enabled
-            else nullcontext()
-        )
-        try:
-            with ctx:
-                class_name, state = load_header(data)
-                if class_name != cls.__name__:
-                    raise DeserializationError(
-                        f"blob contains a {class_name}, not a {cls.__name__}; "
-                        "use repro.from_bytes_any for polymorphic loading"
-                    )
-                sketch = _revive(cls, state)
-        except DeserializationError:
-            if _OBS.enabled:
-                _get_registry().count_error("deserialization", cls.__name__)
-            raise
-        if _OBS.enabled:
-            sketch._observe(
-                "from_bytes", 1, time.perf_counter() - start, nbytes=len(data)
-            )
-        return sketch
+        return _load(data, cls)
 
 
 class MergeableSketch(Sketch):
@@ -413,18 +363,10 @@ class MergeableSketch(Sketch):
             )
         if not _HOT.flag:
             return type(first)._merge_many_impl(parts)
-        if _TRACE.enabled:
-            with _get_tracer().span(
-                f"{type(first).__name__}.merge_many", parts=len(parts)
-            ) as span:
-                merged = type(first)._merge_many_impl(parts)
-            elapsed = span.duration
-        else:
-            start = time.perf_counter()
+        with op_span(f"{type(first).__name__}.merge_many", parts=len(parts)) as span:
             merged = type(first)._merge_many_impl(parts)
-            elapsed = time.perf_counter() - start
         if _OBS.enabled:
-            merged._observe("merge_many", len(parts), elapsed)
+            merged._observe("merge_many", len(parts), span.duration)
         return merged
 
     @classmethod
@@ -493,25 +435,44 @@ def _revive(cls: type, state: dict) -> Sketch:
         ) from exc
 
 
-def from_bytes_any(data: bytes) -> Sketch:
-    """Deserialize any registered sketch, dispatching on the header."""
-    start = time.perf_counter() if _HOT.flag else 0.0
-    ctx = (
-        _get_tracer().span("from_bytes_any", nbytes=len(data))
-        if _TRACE.enabled
-        else nullcontext()
-    )
+def _decode(data: bytes, cls: type | None) -> Sketch:
+    """Revive ``data`` as ``cls``, or (None) as the class its header names."""
+    class_name, state = load_header(data)
+    if cls is None:
+        cls = sketch_registry.get(class_name)
+        if cls is None:
+            raise DeserializationError(f"unknown sketch class {class_name!r}")
+    elif class_name != cls.__name__:
+        raise DeserializationError(
+            f"blob contains a {class_name}, not a {cls.__name__}; "
+            "use repro.from_bytes_any for polymorphic loading"
+        )
+    return _revive(cls, state)
+
+
+def _load(data: bytes, cls: type | None) -> Sketch:
+    """The observed deserialization behind ``from_bytes``/:func:`from_bytes_any`.
+
+    Traced as ``<Class>.from_bytes`` (``from_bytes_any`` when ``cls`` is
+    None), counted as a ``from_bytes`` op of the revived class, and a
+    :class:`DeserializationError` counted under ``cls``'s name (``any``).
+    """
+    if not _HOT.flag:
+        return _decode(data, cls)
+    name = "from_bytes_any" if cls is None else f"{cls.__name__}.from_bytes"
     try:
-        with ctx:
-            class_name, state = load_header(data)
-            cls = sketch_registry.get(class_name)
-            if cls is None:
-                raise DeserializationError(f"unknown sketch class {class_name!r}")
-            sketch = _revive(cls, state)
+        with op_span(name, nbytes=len(data)) as span:
+            sketch = _decode(data, cls)
     except DeserializationError:
         if _OBS.enabled:
-            _get_registry().count_error("deserialization", "any")
+            label = "any" if cls is None else cls.__name__
+            _get_registry().count_error("deserialization", label)
         raise
     if _OBS.enabled:
-        sketch._observe("from_bytes", 1, time.perf_counter() - start, nbytes=len(data))
+        sketch._observe("from_bytes", 1, span.duration, nbytes=len(data))
     return sketch
+
+
+def from_bytes_any(data: bytes) -> Sketch:
+    """Deserialize any registered sketch, dispatching on the header."""
+    return _load(data, None)

@@ -46,8 +46,14 @@ would give.
 What the hooks record
 ---------------------
 
+The sketch-op, pipeline and shard-build timings below come from the
+one helper that also traces the operation,
+:func:`repro.obs.trace.op_span`, so a metric's seconds and the
+matching span's duration are one measurement.
+
 - ``repro_sketch_ops_total`` / ``repro_sketch_items_total``
-  ``{sketch, op}`` for ``update``, ``update_many``, ``merge``,
+  ``{sketch, op}`` for ``update``, ``update_many`` (a family's grouped
+  kernel counts as one over all its items), ``merge``,
   ``merge_many``, ``to_bytes``, ``from_bytes``; batch and serde ops
   also time themselves into ``repro_sketch_op_seconds`` (per-item
   ``update`` is counted but never timed — a clock read would dwarf it).
@@ -64,8 +70,12 @@ What the hooks record
   :class:`BuildReport` / per-shard :class:`ShardSpan` telemetry the
   build returns (``return_report=True``), with spans shipped back from
   process workers over the serde wire format.
-- ``repro_concurrent_drain_total`` / ``_compact_total`` /
-  ``_replicas`` ``{state}`` from ``ConcurrentSketch``.
+- ``repro_concurrent_propagate_total`` / ``_drain_total`` /
+  ``_compact_total`` / ``_replicas`` ``{state}`` from
+  ``ConcurrentSketch``.
+- ``repro_audit_checks_total`` / ``_bound_violations_total`` /
+  ``_observed_error`` / ``_error_bound`` ``{sketch, kind}`` from
+  :class:`AccuracyAuditor` checks.
 - ``repro_sketch_state_bytes`` ``{sketch, id}`` — resident state bytes
   from the :meth:`~repro.core.base.Sketch.memory_footprint` protocol;
   ``registry.track_state(sketch, name=...)`` holds the sketch by
@@ -90,14 +100,23 @@ Tracing
 :mod:`repro.obs.trace` adds distributed-style tracing on the same
 switchboard: ``enable_tracing()`` (or ``REPRO_TRACE=1``) turns on
 nestable spans around every instrumented sketch op,
-``StreamPipeline.feed`` batch windows, ``ConcurrentSketch``
-drain/compact, and :func:`~repro.parallel.parallel_build` — whose
-process workers ship their span subtrees back over the serde wire
-format and are re-parented under the client-side root, so one build is
-one trace tree spanning processes.  :class:`Tracer` keeps a bounded
-ring of finished spans and exports JSON or the Chrome trace-event
-format (``chrome://tracing`` / Perfetto); ``scripts/trace_report.py``
+``StreamPipeline.feed`` and its batch windows, ``ConcurrentSketch``
+propagate/drain/compact, :class:`AccuracyAuditor` checks, and
+:func:`~repro.parallel.parallel_build` — whose process workers ship
+their span subtrees back over the serde wire format and are
+re-parented under the client-side root, so one build is one trace tree
+spanning processes.  :class:`Tracer` keeps a bounded ring of finished
+spans and exports JSON or the Chrome trace-event format
+(``chrome://tracing`` / Perfetto); ``scripts/trace_report.py``
 pretty-prints the tree.
+
+Every one of those sites opens its span through one helper,
+:func:`repro.obs.trace.op_span`: a span on the current tracer when
+tracing is on, a plain timer otherwise, yielding an object with
+``.duration`` and ``.attributes`` either way.  No other module opens a
+span or reads the tracing switch (``tests/obs/test_one_span_helper.py``),
+so a new instrumented site is one
+``with op_span(name, **attributes) as span:`` block.
 
 Timeline (windowed history + range queries)
 -------------------------------------------

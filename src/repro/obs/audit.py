@@ -50,16 +50,13 @@ broken-register HLL of the A8 experiment) is flagged within one check.
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_right
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
 from .registry import STATE as _OBS
 from .registry import MetricsRegistry, get_registry
-from .trace import TRACE as _TRACE
-from .trace import get_tracer
+from .trace import op_span
 
 __all__ = ["AccuracyAuditor", "AuditCheck"]
 
@@ -285,22 +282,15 @@ class AccuracyAuditor:
     def check(self) -> AuditCheck:
         """Compare sketch vs shadow now; record metrics and the verdict."""
         self._since_check = 0
-        ctx = (
-            get_tracer().span(
-                f"audit.check.{self.kind}", sketch=type(self.sketch).__name__
-            )
-            if _TRACE.enabled
-            else nullcontext()
-        )
-        with ctx:
-            start = time.perf_counter()
+        name = f"audit.check.{self.kind}"
+        with op_span(name, sketch=type(self.sketch).__name__) as span:
             if self.kind == "rank":
                 observed, bound, details = self._check_rank()
             elif self.kind == "frequency":
                 observed, bound, details = self._check_frequency()
             else:
                 observed, bound, details = self._check_cardinality()
-            details["check_seconds"] = time.perf_counter() - start
+        details["check_seconds"] = span.duration
         result = AuditCheck(
             kind=self.kind,
             n=self.n,

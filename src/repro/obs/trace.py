@@ -34,11 +34,18 @@ single attribute load on the hot path (the shared
         sketch.update_many(stream)
     print(repro.obs.get_tracer().to_json(indent=2))
 
-When enabled, the core hooks emit one span per batch-level operation
-(``update_many`` / ``merge`` / ``merge_many`` / ``to_bytes`` /
-``from_bytes``; per-item ``update`` is never traced),
-``StreamPipeline.feed`` emits one span per batch window, and
-``ConcurrentSketch`` traces drain/compact maintenance.
+Every instrumented operation in the library is timed and traced the
+same way, through :func:`op_span`: with tracing on it opens a span on
+the current tracer, otherwise it only times the block, and either way
+the object it yields has ``.duration`` and ``.attributes``.  No other
+module opens a span or reads the tracing switch (a tier-1 test holds
+the package to that).  When enabled, the core hooks emit one span per
+batch-level operation (``update_many`` / ``merge`` / ``merge_many`` /
+``update_grouped`` / ``to_bytes`` / ``from_bytes``; per-item
+``update`` is never traced), ``StreamPipeline.feed`` emits one span
+per batch window, ``ConcurrentSketch`` traces propagate/drain/compact,
+``AccuracyAuditor.check`` one span per check, and ``parallel_build``
+one tree per build.
 """
 
 from __future__ import annotations
@@ -62,6 +69,7 @@ __all__ = [
     "disable_tracing",
     "enable_tracing",
     "get_tracer",
+    "op_span",
     "set_tracer",
     "tracing_enabled",
 ]
@@ -530,3 +538,48 @@ def set_tracer(tracer: Tracer) -> Tracer | None:
         previous = _DEFAULT_TRACER
         _DEFAULT_TRACER = tracer
     return previous
+
+
+class _Timing:
+    """What :func:`op_span` yields with tracing off: a span that only times.
+
+    It has a span's ``duration`` and ``attributes``, empty ids and no
+    propagation context, and records nothing.
+    """
+
+    __slots__ = ("attributes", "duration", "_t0")
+
+    trace_id = span_id = ""
+    parent_id = None
+
+    def __init__(self, attributes: dict[str, Any]) -> None:
+        self.attributes = attributes
+        self.duration = 0.0
+
+    def context(self) -> None:
+        return None
+
+    def __enter__(self) -> "_Timing":
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.duration = time.perf_counter() - self._t0
+
+
+def op_span(
+    name: str, parent: "Span | SpanContext | None" = None, **attributes: Any
+) -> "_SpanScope | _Timing":
+    """Time one operation, and trace it when tracing is on.
+
+    ``with op_span("work", items=n) as span: ...`` opens ``name`` on
+    the current tracer (see :meth:`Tracer.span` for ``parent`` and
+    nesting) when tracing is enabled, and otherwise only times the
+    block.  Either way ``span.duration`` is the block's wall time once
+    it exits, ``span.attributes`` takes extra attributes, ``span.context()``
+    is the token to parent remote children under (None when untraced),
+    and ``span.trace_id``/``span.span_id`` are empty when untraced.
+    """
+    if TRACE.enabled:
+        return get_tracer().span(name, parent, **attributes)
+    return _Timing(attributes)

@@ -53,13 +53,20 @@ the sketches) collected into a :class:`~repro.obs.BuildReport`.  Pass
 :class:`ShardedBuilder` also keeps the most recent one on
 ``last_report``.
 
-With :mod:`repro.obs.trace` enabled, each build is one trace tree: a
-``parallel_build`` root span, one ``shard_build`` child per shard
-(process workers trace into a private tracer and ship their spans back
-over the serde wire format for client-side re-parenting — span ids
-ride on the :class:`~repro.obs.ShardSpan`), the per-shard
-``update_many``/``to_bytes``/``from_bytes`` sketch-op spans, and the
-k-way ``merge_many`` reduce span.  Export it with
+Every backend runs the same shard body, :func:`_build_shard`: one
+``shard_build`` :func:`~repro.obs.trace.op_span` around the factory,
+``update_many`` and (for ``process``) ``to_bytes``, whose duration is
+the :class:`~repro.obs.ShardSpan`'s timing whether or not tracing is
+on.  ``serial`` calls it in a loop, ``thread`` maps it over a thread
+pool, and the process task :func:`_build_shard_bytes` wraps it with a
+private tracer and the wire encoding.  With :mod:`repro.obs.trace`
+enabled, each build is one trace tree: a ``parallel_build`` root span,
+one ``shard_build`` child per shard (process workers trace into the
+private tracer and ship their spans back over the serde wire format
+for client-side re-parenting — span ids ride on the
+:class:`~repro.obs.ShardSpan`), the per-shard
+``update_many``/``to_bytes``/``from_bytes_any`` sketch-op spans, and
+the k-way ``merge_many`` reduce span.  Export it with
 ``get_tracer().to_chrome_json()`` or ``scripts/trace_report.py``.
 """
 
@@ -78,7 +85,6 @@ from concurrent.futures import (
     as_completed,
     wait,
 )
-from contextlib import nullcontext
 from typing import Any
 
 import numpy as np
@@ -88,13 +94,13 @@ from ..core.serde import decode_value, encode_value
 from ..obs.registry import STATE as _OBS
 from ..obs.registry import MetricsRegistry, disable, get_registry
 from ..obs.report import BuildReport, ShardSpan
-from ..obs.trace import TRACE as _TRACE
 from ..obs.trace import (
     SpanContext,
     Tracer,
     disable_tracing,
     enable_tracing,
     get_tracer,
+    op_span,
     set_tracer,
 )
 
@@ -251,75 +257,6 @@ def _decode_spans(blob: bytes) -> list[dict]:
     return payload
 
 
-def _build_shard_bytes(
-    factory: Callable[[], Any], items, shard_id: int, trace_ctx: bytes | None = None
-) -> tuple[bytes, bytes, bytes]:
-    """Worker body: build one partial sketch, return it on the wire format.
-
-    Returns ``(sketch blob, shard-span blob, trace blob)`` — all
-    encoded with the typed serde encoder, which is exactly what a
-    remote aggregation worker would ship.  ``trace_ctx`` is a
-    :meth:`~repro.obs.SpanContext.to_wire` payload: when present, the
-    worker traces the build into a private tracer (a ``shard_build``
-    root with the sketch-op spans nested inside) and ships the spans
-    back for client-side re-parenting; the trace blob is empty
-    otherwise.  Module-level so ``ProcessPoolExecutor`` can pickle the
-    task.
-    """
-    items, n_items = _materialize(items)
-    trace_id = span_id = parent_span_id = ""
-    spans_blob = b""
-    if trace_ctx is not None:
-        parent = SpanContext.from_wire(trace_ctx)
-        tracer = Tracer()
-        previous_tracer = set_tracer(tracer)
-        scope = enable_tracing()
-        try:
-            with tracer.span(
-                "shard_build",
-                parent=parent,
-                shard_id=shard_id,
-                items=n_items,
-                backend="process",
-            ) as shard_span:
-                start = time.perf_counter()
-                sketch = factory()
-                sketch.update_many(items)
-                build_seconds = time.perf_counter() - start
-                start = time.perf_counter()
-                blob = sketch.to_bytes()
-                serde_seconds = time.perf_counter() - start
-        finally:
-            scope.restore()
-            if previous_tracer is not None:
-                set_tracer(previous_tracer)
-        trace_id = shard_span.trace_id
-        span_id = shard_span.span_id
-        parent_span_id = shard_span.parent_id or ""
-        spans_blob = _encode_spans(tracer.as_dicts())
-    else:
-        start = time.perf_counter()
-        sketch = factory()
-        sketch.update_many(items)
-        build_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        blob = sketch.to_bytes()
-        serde_seconds = time.perf_counter() - start
-    span = ShardSpan(
-        shard_id=shard_id,
-        n_items=n_items,
-        worker_pid=os.getpid(),
-        build_seconds=build_seconds,
-        serde_seconds=serde_seconds,
-        n_bytes=len(blob),
-        backend="process",
-        trace_id=trace_id,
-        span_id=span_id,
-        parent_span_id=parent_span_id,
-    )
-    return blob, span.to_wire(), spans_blob
-
-
 def _build_shard(
     factory: Callable[[], Any],
     items,
@@ -327,44 +264,74 @@ def _build_shard(
     backend: str,
     trace_parent: SpanContext | None = None,
 ):
-    """In-process worker body: build one partial sketch plus its span.
+    """The shard body of every backend: build one partial sketch plus its span.
 
-    ``trace_parent`` (the build's root span context) parents this
-    shard's ``shard_build`` span explicitly — thread-pool workers have
-    empty span stacks, so implicit nesting would start fresh traces.
+    The build runs inside one ``shard_build`` :func:`~repro.obs.trace.op_span`
+    parented explicitly under ``trace_parent`` (the build's root span
+    context: pool threads and processes have empty span stacks, so
+    implicit nesting would start fresh traces).  The ``process`` backend
+    returns the partial on the serde wire format — what a remote
+    aggregation worker would ship — encoded inside the span, so its
+    ``to_bytes`` span is a child of ``shard_build``; the others return
+    the sketch itself.
     """
     items, n_items = _materialize(items)
-    trace_id = span_id = parent_span_id = ""
-    if trace_parent is not None and _TRACE.enabled:
-        with get_tracer().span(
-            "shard_build",
-            parent=trace_parent,
-            shard_id=shard_id,
-            items=n_items,
-            backend=backend,
-        ) as shard_span:
-            sketch = factory()
-            sketch.update_many(items)
-        build_seconds = shard_span.duration
-        trace_id = shard_span.trace_id
-        span_id = shard_span.span_id
-        parent_span_id = shard_span.parent_id or ""
-    else:
-        start = time.perf_counter()
+    serde_seconds = 0.0
+    with op_span(
+        "shard_build",
+        trace_parent,
+        shard_id=shard_id,
+        items=n_items,
+        backend=backend,
+    ) as shard_span:
         sketch = factory()
         sketch.update_many(items)
-        build_seconds = time.perf_counter() - start
+        if backend == "process":
+            start = time.perf_counter()
+            sketch = sketch.to_bytes()
+            serde_seconds = time.perf_counter() - start
     span = ShardSpan(
         shard_id=shard_id,
         n_items=n_items,
         worker_pid=os.getpid(),
-        build_seconds=build_seconds,
+        build_seconds=shard_span.duration - serde_seconds,
+        serde_seconds=serde_seconds,
+        n_bytes=len(sketch) if backend == "process" else 0,
         backend=backend,
-        trace_id=trace_id,
-        span_id=span_id,
-        parent_span_id=parent_span_id,
+        trace_id=shard_span.trace_id,
+        span_id=shard_span.span_id,
+        parent_span_id=shard_span.parent_id or "",
     )
     return sketch, span
+
+
+def _build_shard_bytes(
+    factory: Callable[[], Any], items, shard_id: int, trace_ctx: bytes | None = None
+) -> tuple[bytes, bytes, bytes]:
+    """Process-pool task: :func:`_build_shard`, everything on the wire format.
+
+    Returns ``(sketch blob, shard-span blob, trace blob)``, all encoded
+    with the typed serde encoder.  ``trace_ctx`` is a
+    :meth:`~repro.obs.SpanContext.to_wire` payload: when present, the
+    worker traces the build into a private tracer and ships its spans
+    back for client-side re-parenting; the trace blob is empty
+    otherwise.  Module-level so ``ProcessPoolExecutor`` can pickle the
+    task.
+    """
+    if trace_ctx is None:
+        blob, span = _build_shard(factory, items, shard_id, "process")
+        return blob, span.to_wire(), b""
+    tracer = Tracer()
+    previous_tracer = set_tracer(tracer)
+    try:
+        with enable_tracing():
+            blob, span = _build_shard(
+                factory, items, shard_id, "process", SpanContext.from_wire(trace_ctx)
+            )
+    finally:
+        if previous_tracer is not None:
+            set_tracer(previous_tracer)
+    return blob, span.to_wire(), _encode_spans(tracer.as_dicts())
 
 
 def _is_picklable(factory: Callable[[], Any]) -> bool:
@@ -485,46 +452,27 @@ def parallel_build(
     resolved, fallback_reason = _resolve_backend(backend, workers, total, factory)
     _warn_fallback(fallback_reason, resolved)
 
-    tracing = _TRACE.enabled
-    tracer = get_tracer() if tracing else None
-    root_ctx = (
-        tracer.span(
-            "parallel_build",
-            backend=resolved,
-            requested_backend=backend,
-            workers=workers,
-            shards=len(shard_list),
-        )
-        if tracing
-        else nullcontext()
-    )
-    spans: list[ShardSpan]
-    with root_ctx as root_span:
-        trace_parent = root_span.context() if root_span is not None else None
-        if resolved == "serial":
-            built = [
-                _build_shard(factory, shard, i, "serial", trace_parent)
-                for i, shard in enumerate(shard_list)
-            ]
-            parts = [sketch for sketch, _ in built]
-            spans = [span for _, span in built]
-        elif resolved == "thread":
-            n = len(shard_list)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                built = list(
-                    pool.map(
-                        _build_shard,
-                        [factory] * n,
-                        shard_list,
-                        range(n),
-                        ["thread"] * n,
-                        [trace_parent] * n,
-                    )
-                )
+    n = len(shard_list)
+    with op_span(
+        "parallel_build",
+        backend=resolved,
+        requested_backend=backend,
+        workers=workers,
+        shards=n,
+    ) as root_span:
+        trace_parent = root_span.context()
+        if resolved != "process":
+            columns = (
+                [factory] * n, shard_list, range(n), [resolved] * n, [trace_parent] * n
+            )
+            if resolved == "serial":
+                built = list(map(_build_shard, *columns))
+            else:
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    built = list(pool.map(_build_shard, *columns))
             parts = [sketch for sketch, _ in built]
             spans = [span for _, span in built]
         else:
-            n = len(shard_list)
             ctx_blob = trace_parent.to_wire() if trace_parent is not None else None
             parts = [None] * n
             spans = [None] * n
@@ -546,12 +494,12 @@ def parallel_build(
                     span.serde_seconds += decode_seconds
                     parts[span.shard_id] = part
                     spans[span.shard_id] = span
-                    if tracer is not None and trace_blob:
+                    if trace_blob:
                         # Re-parent the worker's subtree into this
                         # trace; its shard_build root already names
                         # root_span as parent, so adoption just
                         # lands it in the buffer.
-                        tracer.adopt(_decode_spans(trace_blob), parent=root_span)
+                        get_tracer().adopt(_decode_spans(trace_blob), parent=root_span)
             except BaseException:
                 _settle(futures)
                 raise
@@ -574,8 +522,8 @@ def parallel_build(
         merge_seconds=t_end - t_merge,
         total_seconds=t_end - t_start,
         fallback_reason=fallback_reason,
-        trace_id=root_span.trace_id if root_span is not None else "",
-        root_span_id=root_span.span_id if root_span is not None else "",
+        trace_id=root_span.trace_id,
+        root_span_id=root_span.span_id,
     )
     if _OBS.enabled:
         (registry if registry is not None else get_registry()).observe_build(report)

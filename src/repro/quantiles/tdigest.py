@@ -69,10 +69,14 @@ class TDigest(QuantileSketch):
 
     def _compact(self) -> None:
         """Merge buffer into centroids under the scale-function constraint."""
-        if not self._buffer and not self._centroids:
-            return
-        pending = sorted(self._centroids + self._buffer, key=lambda cw: cw[0])
+        self._centroids = self._compacted()
         self._buffer = []
+
+    def _compacted(self) -> list[tuple[float, float]]:
+        """The centroids :meth:`_compact` would leave, without assigning them."""
+        pending = sorted(self._centroids + self._buffer, key=lambda cw: cw[0])
+        if not pending:
+            return []
         total = sum(w for _, w in pending)
         out: list[tuple[float, float]] = []
         cur_mean, cur_weight = pending[0]
@@ -90,7 +94,7 @@ class TDigest(QuantileSketch):
                 acc += cur_weight
                 cur_mean, cur_weight = mean, weight
         out.append((cur_mean, cur_weight))
-        self._centroids = out
+        return out
 
     # -- queries ----------------------------------------------------------------------
 
@@ -170,14 +174,15 @@ class TDigest(QuantileSketch):
         self._compact()
 
     def state_dict(self) -> dict:
-        self._compact()
+        # Serializing or pricing a digest must not change it: the blob
+        # holds the compacted centroids, the digest keeps its buffer.
         return {
             "delta": self.delta,
             "buffer_size": self.buffer_size,
             "n": self.n,
             "min": self._min if self.n else None,
             "max": self._max if self.n else None,
-            "centroids": [list(c) for c in self._centroids],
+            "centroids": [list(c) for c in self._compacted()],
         }
 
     @classmethod

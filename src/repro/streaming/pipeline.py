@@ -10,16 +10,13 @@ and :mod:`repro.streaming.windows`).
 from __future__ import annotations
 
 import os
-import time
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import nullcontext
 from itertools import islice
 from typing import Any
 
 from ..obs.registry import STATE as _OBS
 from ..obs.registry import MetricsRegistry, get_registry
-from ..obs.trace import TRACE as _TRACE
-from ..obs.trace import get_tracer
+from ..obs.trace import op_span
 
 __all__ = ["StreamPipeline"]
 
@@ -94,19 +91,12 @@ class StreamPipeline:
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        start = time.perf_counter() if _OBS.enabled else 0.0
-        tracing = _TRACE.enabled
-        root_ctx = (
-            get_tracer().span(
-                "pipeline.feed", batch_size=batch_size, operators=len(operators)
-            )
-            if tracing
-            else nullcontext()
-        )
         batched = [getattr(op, "process_many", None) for op in operators]
         count = 0
         batches = 0
-        with root_ctx as root_span:
+        with op_span(
+            "pipeline.feed", batch_size=batch_size, operators=len(operators)
+        ) as root:
             if not any(batched):
                 for record in self:
                     for op in operators:
@@ -115,37 +105,25 @@ class StreamPipeline:
             else:
                 records = iter(self)
                 while buffer := list(islice(records, batch_size)):
-                    self._dispatch(operators, batched, buffer, batches, tracing)
+                    with op_span(
+                        "pipeline.feed_batch", batch=batches, records=len(buffer)
+                    ):
+                        for op, process_many in zip(operators, batched):
+                            if process_many is not None:
+                                process_many(buffer)
+                            else:
+                                for record in buffer:
+                                    op.process(record)
                     count += len(buffer)
                     batches += 1
-            if root_span is not None:
-                root_span.attributes["records"] = count
-                root_span.attributes["batches"] = batches
+            root.attributes["records"] = count
+            root.attributes["batches"] = batches
         if _OBS.enabled:
             registry = self._obs_registry
             if registry is None:
                 registry = get_registry()
-            registry.observe_pipeline_feed(count, batches, time.perf_counter() - start)
+            registry.observe_pipeline_feed(count, batches, root.duration)
         return count
-
-    @staticmethod
-    def _dispatch(
-        operators, batched, buffer: list, batch_index: int = 0, tracing: bool = False
-    ) -> None:
-        ctx = (
-            get_tracer().span(
-                "pipeline.feed_batch", batch=batch_index, records=len(buffer)
-            )
-            if tracing
-            else nullcontext()
-        )
-        with ctx:
-            for op, process_many in zip(operators, batched):
-                if process_many is not None:
-                    process_many(buffer)
-                else:
-                    for record in buffer:
-                        op.process(record)
 
     def feed_parallel(
         self,

@@ -268,6 +268,22 @@ class TestTDigestSpecifics:
         with pytest.raises(ValueError):
             TDigest().update(1.0, weight=0)
 
+    def test_serializing_or_pricing_leaves_the_digest_unchanged(self):
+        rng = random.Random(13)
+        values = [rng.gauss(0.0, 1.0) for _ in range(5000)]
+        touched, untouched = TDigest(buffer_size=64), TDigest(buffer_size=64)
+        for i, v in enumerate(values):
+            touched.update(v)
+            untouched.update(v)
+            if i % 997 == 0:
+                blob = touched.to_bytes()
+                touched.memory_footprint()
+                # The blob still holds the compacted centroids.
+                assert blob == TDigest.from_state_dict(touched.state_dict()).to_bytes()
+                assert touched._buffer == untouched._buffer
+        assert touched.state_dict() == untouched.state_dict()
+        assert touched.quantile(0.01) == untouched.quantile(0.01)
+
 
 class TestQDigestSpecifics:
     def test_invalid_params(self):
