@@ -16,7 +16,7 @@ PACKAGES = [
     "repro.adversarial", "repro.concurrent", "repro.obs",
     "repro.obs.trace", "repro.obs.audit", "repro.obs.http",
     "repro.obs.timeline", "repro.obs.profile",
-    "repro.obs.alerts", "repro.obs.lifecycle",
+    "repro.obs.alerts", "repro.obs.lifecycle", "repro.obs.ticker",
     "repro.obs.bench",
     "repro.store", "repro.store.segment", "repro.store.compact",
 ]
@@ -29,7 +29,7 @@ FULL_DOC = {
     "repro.concurrent", "repro.obs",
     "repro.obs.trace", "repro.obs.audit", "repro.obs.http",
     "repro.obs.timeline", "repro.obs.profile",
-    "repro.obs.alerts", "repro.obs.lifecycle",
+    "repro.obs.alerts", "repro.obs.lifecycle", "repro.obs.ticker",
     "repro.obs.bench",
     "repro.store", "repro.store.segment", "repro.store.compact",
 }

@@ -178,12 +178,14 @@ critical alerts into ``/healthz``, and panels them on ``/dashboard``;
 Lifecycle
 ---------
 
-Recorders, engines, and stores all flush on ``stop()``/``close()``,
-but nothing calls those on interpreter exit by default.  Opt in with
+The recorder, the alert engine, the store's compactor and the profiler
+are daemon tickers sharing one loop (:mod:`repro.obs.ticker`): passes
+keep to a grid of the period, and a pass that raises is counted in
+``repro_background_errors_total{thread}`` while the thread goes on.
+Nothing stops them at interpreter exit by default.  Opt in with
 :func:`install_shutdown_hook` (:mod:`repro.obs.lifecycle`): one
-``atexit`` hook that stops registered alert engines and recorders
-(flushing the open window) and seals the attached store's active
-segment, in dependency order.
+``atexit`` hook that stops engines, recorders (flushing the open
+window) and compactors, then seals their stores.
 
 Auditing and serving
 --------------------

@@ -63,6 +63,9 @@ it watches: ``repro_alert_evaluations_total``,
 >>> engine.as_dict()["rules"]       # current states (the /alerts payload)
 >>> engine.stop()
 
+The thread is a :class:`~repro.obs.ticker.Ticker`: a pass that raises
+is counted in ``repro_background_errors_total`` and the next one runs.
+
 ``ObsServer`` serves the engine at ``GET /alerts`` and folds firing
 severity≥critical alerts into the ``/healthz`` verdict; overhead of a
 running 1 s engine is gated under 5% by the ``engine`` row of
@@ -80,6 +83,7 @@ from collections import deque
 from typing import Any, Callable
 
 from .registry import MetricsRegistry
+from .ticker import Ticker
 from .timeline import TimelineRecorder
 
 __all__ = [
@@ -734,7 +738,7 @@ class _RuleStatus:
         self.recent: deque = deque(maxlen=self.SPARK_SAMPLES)
 
 
-class AlertEngine:
+class AlertEngine(Ticker):
     """Evaluate rules against a timeline on a daemon ticker.
 
     Parameters
@@ -761,9 +765,12 @@ class AlertEngine:
     history:
         Bounded count of recent transitions kept for ``/alerts``.
     clock:
-        Epoch-seconds source; None uses the recorder's clock, so a
+        Epoch-seconds source of each pass's ``now`` (the thread's
+        schedule is monotonic); None uses the recorder's clock, so a
         manually driven recorder drives a deterministic engine too.
     """
+
+    _thread_name = "repro-obs-alerts"
 
     def __init__(
         self,
@@ -790,8 +797,6 @@ class AlertEngine:
         self._sinks: list[AlertSink] = list(sinks)
         self._history: deque = deque(maxlen=history)
         self._lock = threading.RLock()
-        self._thread: threading.Thread | None = None
-        self._stop_event = threading.Event()
         #: evaluation passes completed.
         self.evaluations = 0
         for rule in rules:
@@ -945,50 +950,20 @@ class AlertEngine:
 
     # -- lifecycle -------------------------------------------------------------
 
-    @property
-    def running(self) -> bool:
-        return self._thread is not None
-
     def start(self, interval: float | None = None) -> "AlertEngine":
-        """Begin evaluating from a daemon thread every ``interval`` seconds."""
-        if self._thread is not None:
-            raise RuntimeError("AlertEngine is already running")
+        """Evaluate every ``interval`` seconds (None: :attr:`interval`) from a daemon thread.
+
+        Passes keep to a monotonic grid of the period, the first at its
+        next point; a pass that raises is counted and the next one still
+        runs (:mod:`repro.obs.ticker`).
+        """
+        self._start(self.interval if interval is None else interval)
         if interval is not None:
-            if interval <= 0:
-                raise ValueError(f"interval must be > 0, got {interval}")
             self.interval = float(interval)
-        self._stop_event.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-obs-alerts", daemon=True
-        )
-        self._thread.start()
         return self
 
-    def _run(self) -> None:
-        while not self._stop_event.wait(self.interval):
-            try:
-                self.evaluate()
-            except Exception:
-                # The ticker must survive anything an evaluation throws
-                # (engine bugs surface in rule/sink error counters).
-                pass
-
-    def stop(self) -> None:
-        """Stop the ticker (idempotent, including before :meth:`start`)."""
-        thread = self._thread
-        self._thread = None
-        if thread is None:
-            return
-        self._stop_event.set()
-        thread.join(timeout=5.0)
-
-    def __enter__(self) -> "AlertEngine":
-        if self._thread is None:
-            self.start()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
+    def _pass(self, deadline: float) -> None:
+        self.evaluate()
 
     # -- introspection ---------------------------------------------------------
 

@@ -86,17 +86,6 @@ class AuditCheck:
         }
 
 
-def _kll_rank_epsilon(k: int) -> float:
-    """Empirical KLL rank-error constant ε(k) ≈ 2/k^0.9 (normalized).
-
-    The KLL analysis gives ε = O(1/k) with an awkward constant; the
-    2/k^0.9 fit matches the measured 99th-percentile rank error of
-    this implementation (and the Apache DataSketches published table:
-    k=200 → ≈1.7%) across the practical k range.
-    """
-    return 2.0 / (k ** 0.9)
-
-
 class AccuracyAuditor:
     """Shadow a sketch with ground truth and audit its error bound online.
 
@@ -354,6 +343,8 @@ class AccuracyAuditor:
         }
 
     def _check_rank(self) -> tuple[float, float, dict]:
+        from ..quantiles.kll import rank_epsilon
+
         sample = sorted(float(v) for v in self._reservoir.sample())
         k = len(sample)
         if k == 0 or getattr(self.sketch, "n", 0) == 0:
@@ -367,7 +358,7 @@ class AccuracyAuditor:
             if err > worst:
                 worst = err
                 worst_q = q
-        sketch_eps = _kll_rank_epsilon(int(getattr(self.sketch, "k", 200)))
+        sketch_eps = rank_epsilon(int(getattr(self.sketch, "k", 200)))
         shadow_eps = self.z * 0.5 / math.sqrt(k)
         bound = sketch_eps + shadow_eps
         return worst, bound, {

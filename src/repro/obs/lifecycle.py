@@ -1,4 +1,4 @@
-"""Opt-in graceful-shutdown flush for recorders, alert engines, stores.
+"""Opt-in graceful-shutdown flush for recorders, alert engines, compactors and stores.
 
 A :class:`~repro.obs.TimelineRecorder` flushes its open window on
 ``stop()`` and a :class:`~repro.store.SketchStore` seals its active
@@ -12,17 +12,18 @@ process teardown by default::
     recorder = TimelineRecorder(interval=1.0).start()
     recorder.attach_store(store)
     engine = AlertEngine(recorder, rules=[...]).start()
-    install_shutdown_hook(recorder, engine)   # store sealed implicitly
+    compactor = Compactor(store, ttl=86400).start()
+    install_shutdown_hook(recorder, engine, compactor)   # store sealed implicitly
 
-On exit the hook runs in dependency order — alert engines first (no
-evaluations against a stopping recorder), then recorders
-(``stop()`` flushes the open window, write-through persisting it),
-then stores (``close()`` seals the active segment and writes its key
-index).  A recorder's attached store is sealed automatically; pass
-stores explicitly only when they are not attached to any registered
-recorder.  ``atexit`` runs the hook after non-daemon threads join but
-while daemon threads (the tickers) are still joinable, which is
-exactly the window ``stop()`` needs.
+On exit the hook stops alert engines first (no evaluations against a
+stopping recorder), then recorders (flushing the open window through
+to the store), then compactors (``stop()`` waits up to 5 s for a pass,
+so a clean exit never cuts one between writing the coarse segment and
+removing the fine ones), then closes stores (sealing the active
+segment).  A registered recorder's or compactor's store is closed
+without being passed.  ``atexit`` runs the hook after non-daemon
+threads join but while the daemon tickers (:mod:`repro.obs.ticker`)
+are still joinable, which is exactly the window ``stop()`` needs.
 
 The hook is idempotent (objects deduplicate on identity, a second
 ``install`` extends the same registration) and tolerant: one
@@ -46,31 +47,25 @@ _installed = False
 
 def _kind_of(obj: object) -> str:
     """Classify by capability, not class, so fakes/wrappers register too."""
-    if hasattr(obj, "evaluate") and hasattr(obj, "stop"):
-        return "engine"
-    if hasattr(obj, "tick") and hasattr(obj, "stop"):
-        return "recorder"
+    for kind, method in (("engine", "evaluate"), ("recorder", "tick"), ("compactor", "run_once")):
+        if hasattr(obj, method) and hasattr(obj, "stop"):
+            return kind
     if hasattr(obj, "seal_active") or hasattr(obj, "close"):
         return "store"
     raise TypeError(
-        f"cannot shut down {type(obj).__name__!r}: expected an AlertEngine, "
-        "TimelineRecorder, or SketchStore (stop/tick/close protocols)"
+        f"cannot shut down {type(obj).__name__!r}: expected an AlertEngine, TimelineRecorder, "
+        "Compactor or SketchStore (evaluate/tick/run_once + stop, or close protocols)"
     )
 
 
 def _flush_all() -> None:
-    """The atexit hook: engines, then recorders, then stores."""
+    """The atexit hook: engines, then recorders, then compactors, then stores."""
     with _lock:
         items = list(_registered)
         _registered.clear()
-    order = {"engine": 0, "recorder": 1, "store": 2}
-    stores = []
-    for kind, obj in items:
-        if kind == "recorder":
-            store = getattr(obj, "store", None)
-            if store is not None:
-                stores.append(store)
-    items += [("store", s) for s in stores]
+    order = {"engine": 0, "recorder": 1, "compactor": 2, "store": 3}
+    items += [("store", obj.store) for kind, obj in items
+              if kind != "store" and getattr(obj, "store", None) is not None]
     seen: set[int] = set()
     for kind, obj in sorted(items, key=lambda item: order[item[0]]):
         if id(obj) in seen:
@@ -90,11 +85,11 @@ def _flush_all() -> None:
 def install_shutdown_hook(*components: object) -> None:
     """Flush ``components`` on interpreter exit (idempotent, additive).
 
-    Accepts any mix of alert engines, timeline recorders, and sketch
-    stores; repeat calls extend one shared registration.  Order does
-    not matter — teardown always runs engines → recorders → stores,
-    and a registered recorder's attached store is sealed without
-    being passed explicitly.
+    Accepts any mix of alert engines, timeline recorders, compactors
+    and sketch stores; repeat calls extend one shared registration.
+    Order does not matter — teardown always runs engines → recorders →
+    compactors → stores, and a registered recorder's or compactor's
+    store is sealed without being passed explicitly.
     """
     global _installed
     with _lock:

@@ -1,7 +1,8 @@
 """Statistical sampling profiler with span-keyed stacks.
 
 Where :mod:`repro.obs.trace` shows *which operation* time went to,
-this module shows *which code*: a daemon-thread ticker samples every
+this module shows *which code*: a daemon-thread ticker
+(:mod:`repro.obs.ticker`) samples every
 live thread's Python stack via ``sys._current_frames()`` (default
 100 Hz), aggregates identical stacks into call-tree counts, and — when
 :mod:`repro.obs.trace` has an open span on the sampled thread — keys
@@ -43,6 +44,7 @@ import threading
 import time
 from typing import Any
 
+from .ticker import Ticker
 from .trace import Tracer, get_tracer
 
 __all__ = ["SamplingProfiler", "profile_for"]
@@ -62,7 +64,7 @@ def _frame_label(filename: str, function: str, lineno: int) -> str:
     return _sanitize(f"{os.path.basename(filename)}:{function}:{lineno}")
 
 
-class SamplingProfiler:
+class SamplingProfiler(Ticker):
     """Aggregating ``sys._current_frames()`` ticker.
 
     Parameters
@@ -80,6 +82,8 @@ class SamplingProfiler:
         pathological stack churn).
     """
 
+    _thread_name = "repro-obs-profiler"
+
     def __init__(
         self,
         hz: float = 100.0,
@@ -96,8 +100,6 @@ class SamplingProfiler:
         # (span name | None, ((file, func, line), ...)) -> sample count
         self._counts: dict[tuple, int] = {}
         self._lock = threading.Lock()
-        self._thread: threading.Thread | None = None
-        self._stop_event = threading.Event()
         self._started_at: float | None = None
         #: total sampling ticks taken.
         self.samples = 0
@@ -151,21 +153,7 @@ class SamplingProfiler:
         self.samples += 1
         return sampled
 
-    def _run(self) -> None:
-        period = 1.0 / self.hz
-        deadline = time.perf_counter() + period
-        while not self._stop_event.wait(max(0.0, deadline - time.perf_counter())):
-            self.sample_once()
-            deadline += period
-            now = time.perf_counter()
-            if deadline < now:  # fell behind: skip missed ticks, don't burst
-                deadline = now + period
-
     # -- lifecycle -------------------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None
 
     @property
     def duration(self) -> float:
@@ -174,37 +162,27 @@ class SamplingProfiler:
         return self._elapsed + live
 
     def start(self) -> "SamplingProfiler":
-        """Begin sampling from a daemon thread; raises on double-start."""
-        if self._thread is not None:
-            raise RuntimeError("SamplingProfiler is already running")
-        self._stop_event.clear()
+        """Sample on a ``1 / hz`` grid from a daemon thread; raises on double-start.
+
+        A sample that raises is counted in the process-global registry
+        and the next one still runs (:mod:`repro.obs.ticker`).
+        """
+        return self._start(1.0 / self.hz)
+
+    def _on_start(self) -> None:
         self._started_at = time.perf_counter()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-obs-profiler", daemon=True
-        )
-        self._thread.start()
-        return self
+
+    def _pass(self, deadline: float) -> None:
+        self.sample_once()
 
     def stop(self) -> "SamplingProfiler":
         """Stop the ticker and join it (idempotent, incl. before start)."""
-        thread = self._thread
-        self._thread = None
-        if thread is None:
-            return self
-        self._stop_event.set()
-        thread.join(timeout=5.0)
-        if self._started_at is not None:
-            self._elapsed += time.perf_counter() - self._started_at
-            self._started_at = None
+        super().stop()
         return self
 
-    def __enter__(self) -> "SamplingProfiler":
-        if self._thread is None:
-            self.start()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
+    def _on_stop(self) -> None:
+        self._elapsed += time.perf_counter() - self._started_at
+        self._started_at = None
 
     # -- aggregation views -----------------------------------------------------
 
@@ -283,10 +261,6 @@ def profile_for(
     """
     if seconds <= 0:
         raise ValueError(f"seconds must be > 0, got {seconds}")
-    profiler = SamplingProfiler(hz=hz, tracer=tracer)
-    profiler.start()
-    try:
+    with SamplingProfiler(hz=hz, tracer=tracer) as profiler:
         time.sleep(seconds)
-    finally:
-        profiler.stop()
     return profiler

@@ -37,6 +37,9 @@ under 2% and a running 1 s recorder under 5%, via the
 >>> result.quantile(0.99)                  # merged from covered window partials
 >>> recorder.stop()                        # idempotent; flushes the open window
 
+The thread is a :class:`~repro.obs.ticker.Ticker`: a tick that raises
+is counted in ``repro_background_errors_total`` and the next one runs.
+
 Range queries are *window-resolution*: a window is covered when it
 overlaps ``[since, until)``, so boundaries snap outward to at most one
 ``interval`` on each side.
@@ -66,8 +69,8 @@ from .registry import (
     MetricsRegistry,
     SketchHistogram,
     _labels_key,
-    get_registry,
 )
+from .ticker import Ticker
 
 __all__ = ["RangeResult", "TimelineRecorder", "TimelineWindow"]
 
@@ -255,7 +258,7 @@ def _fold_window_rows(metric: str, rows: list, labels: dict | tuple = (),
     return result
 
 
-class TimelineRecorder:
+class TimelineRecorder(Ticker):
     """Background registry snapshotter with windowed range queries.
 
     Parameters
@@ -279,6 +282,8 @@ class TimelineRecorder:
     steal on every tick.
     """
 
+    _thread_name = "repro-obs-timeline"
+
     def __init__(
         self,
         registry: MetricsRegistry | None = None,
@@ -293,23 +298,17 @@ class TimelineRecorder:
         self.interval = float(interval)
         self.max_windows = max_windows
         self._registry = registry
-        self._clock = clock
+        self._clock = self._now = clock  # ticks keep to this clock's grid
         self._windows: list[TimelineWindow] = []
         self._lock = threading.Lock()
         self._tick_lock = threading.Lock()
         self._prev_counters: dict[tuple, float] = {}
         self._last_tick: float | None = None
-        self._thread: threading.Thread | None = None
-        self._stop_event = threading.Event()
         self._store = None
         #: windows dropped off the ring so far.
         self.evicted = 0
         #: ticks taken (thread or manual).
         self.ticks = 0
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        return self._registry if self._registry is not None else get_registry()
 
     # -- recording -------------------------------------------------------------
 
@@ -403,74 +402,30 @@ class TimelineRecorder:
 
     # -- lifecycle -------------------------------------------------------------
 
-    @property
-    def running(self) -> bool:
-        return self._thread is not None
-
     def start(self) -> "TimelineRecorder":
-        """Attach mirrors and begin ticking from a daemon thread."""
-        if self._thread is not None:
-            raise RuntimeError("TimelineRecorder is already running")
+        """Attach mirrors and tick on ``interval`` boundaries of the recorder's clock.
+
+        A tick that raises is counted and the next one still runs
+        (:mod:`repro.obs.ticker`); :meth:`stop` flushes the open window.
+        """
+        return self._start(self.interval)
+
+    def _on_start(self) -> None:
         for metric in self.registry.iter_metrics():
             if isinstance(metric, SketchHistogram):
                 metric._attach_window()
         self._last_tick = self._clock()
-        self._stop_event.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-obs-timeline", daemon=True
-        )
-        self._thread.start()
-        return self
 
-    @staticmethod
-    def _advance_deadline(deadline: float, now: float, interval: float) -> float:
-        """Next tick deadline strictly after ``now``, staying on the grid.
+    def _pass(self, deadline: float) -> None:
+        # Stamp the tick with the grid boundary, not the post-wait
+        # clock: window edges stay exact multiples of ``interval``.
+        self.tick(deadline)
 
-        The naive ``sleep(interval)``-after-work schedule drifts: every
-        tick's snapshot time adds to the period, so window boundaries
-        creep off the wall-clock grid over long runs.  Instead the
-        deadline advances by exact multiples of ``interval`` — a slow
-        snapshot skips the boundaries it missed but the next tick still
-        lands *on* a grid point, never ``work_time`` past one.
-        """
-        deadline += interval
-        if deadline <= now:
-            missed = math.floor((now - deadline) / interval) + 1
-            deadline += missed * interval
-        return deadline
-
-    def _run(self) -> None:
-        now = self._clock()
-        deadline = (math.floor(now / self.interval) + 1) * self.interval
-        while True:
-            now = self._clock()
-            if self._stop_event.wait(max(0.0, deadline - now)):
-                return
-            # Stamp the tick with the grid boundary, not the post-wait
-            # clock: window edges stay exact multiples of ``interval``.
-            self.tick(deadline)
-            deadline = self._advance_deadline(deadline, self._clock(), self.interval)
-
-    def stop(self) -> None:
-        """Stop the thread, flush the open window, detach mirrors (idempotent)."""
-        thread = self._thread
-        self._thread = None
-        if thread is None:
-            return
-        self._stop_event.set()
-        thread.join(timeout=5.0)
+    def _on_stop(self) -> None:
         self.tick()  # flush the partial window
         for metric in self.registry.iter_metrics():
             if isinstance(metric, SketchHistogram):
                 metric._detach_window()
-
-    def __enter__(self) -> "TimelineRecorder":
-        if self._thread is None:
-            self.start()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
 
     # -- durable store ---------------------------------------------------------
 

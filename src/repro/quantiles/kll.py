@@ -84,6 +84,11 @@ COMPACTOR_LAYOUT = Layout(
 )
 
 
+def rank_epsilon(k: int) -> float:
+    """Normalized rank error ε at 99% confidence: DataSketches' fit of ε = O(1/k)."""
+    return 2.296 / k**0.9299
+
+
 def levels_to_state(compactors: list) -> list:
     """Compactor levels as float64 ndarrays (one tagged buffer per level)."""
     return [np.array(buf, dtype=np.float64) for buf in compactors]
@@ -298,17 +303,14 @@ class KLLSketch(QuantileSketch):
         return view_quantile(sorted_view(self), q * self.n)
 
     def rank_error_bound(self) -> float:
-        """Normalized rank error ε at 99% confidence (≈ 2.296 / k^0.93).
+        """Normalized rank error ε at 99% confidence: :func:`rank_epsilon` of ``k``.
 
-        The Apache DataSketches calibration of the KLL analysis's
-        ε ≈ O(1/k): for the default ``k=200`` this gives ≈ 0.0166,
-        matching the "well under 2%" contract in :mod:`repro.obs`.
         Merging never inflates the bound, so a ``merge_many`` fold of
         same-``k`` partials carries the same ε — which is what lets a
         drift detector compare two folded CDFs against a principled
         2ε divergence threshold (:class:`~repro.obs.alerts.DriftRule`).
         """
-        return 2.296 / self.k**0.9299
+        return rank_epsilon(self.k)
 
     @property
     def size(self) -> int:

@@ -42,6 +42,9 @@ class TDigest(QuantileSketch):
         self.buffer_size = buffer_size
         self._centroids: list[tuple[float, float]] = []  # (mean, weight) sorted
         self._buffer: list[tuple[float, float]] = []
+        # ``_compacted()`` for queries until the next update or merge: a
+        # query that compacted in place would change later centroids.
+        self._view: list[tuple[float, float]] | None = None
         self.n = 0
         self._min = math.inf
         self._max = -math.inf
@@ -61,6 +64,7 @@ class TDigest(QuantileSketch):
             raise ValueError(f"weight must be positive, got {weight}")
         value = float(value)
         self._buffer.append((value, weight))
+        self._view = None
         self.n += weight
         self._min = min(self._min, value)
         self._max = max(self._max, value)
@@ -71,6 +75,7 @@ class TDigest(QuantileSketch):
         """Merge buffer into centroids under the scale-function constraint."""
         self._centroids = self._compacted()
         self._buffer = []
+        self._view = None
 
     def _compacted(self) -> list[tuple[float, float]]:
         """The centroids :meth:`_compact` would leave, without assigning them."""
@@ -96,14 +101,19 @@ class TDigest(QuantileSketch):
         out.append((cur_mean, cur_weight))
         return out
 
+    def _query_view(self) -> list[tuple[float, float]]:
+        """:meth:`_compacted`, computed once between updates, never assigned."""
+        if self._view is None:
+            self._view = self._compacted()
+        return self._view
+
     # -- queries ----------------------------------------------------------------------
 
     def quantile(self, q: float) -> float:
         """Interpolated value at normalized rank q."""
         self._check_q(q)
         self._require_data()
-        self._compact()
-        centroids = self._centroids
+        centroids = self._query_view()
         if len(centroids) == 1:
             return centroids[0][0]
         target = q * self.n
@@ -127,7 +137,6 @@ class TDigest(QuantileSketch):
     def rank(self, value: float) -> float:
         """Estimated number of items ≤ value (interpolated)."""
         self._require_data()
-        self._compact()
         if value < self._min:
             return 0.0
         if value >= self._max:
@@ -135,7 +144,7 @@ class TDigest(QuantileSketch):
         acc = 0.0
         prev_mean, prev_weight = self._min, 0.0
         prev_mid_rank = 0.0
-        for mean, weight in self._centroids:
+        for mean, weight in self._query_view():
             mid_rank = acc + weight / 2.0
             if value < mean:
                 if mean == prev_mean:
@@ -149,9 +158,8 @@ class TDigest(QuantileSketch):
 
     @property
     def size(self) -> int:
-        """Number of centroids (after pending compaction)."""
-        self._compact()
-        return len(self._centroids)
+        """Number of centroids once the buffer is compacted (not in place)."""
+        return len(self._query_view())
 
     @property
     def min(self) -> float:
@@ -182,7 +190,7 @@ class TDigest(QuantileSketch):
             "n": self.n,
             "min": self._min if self.n else None,
             "max": self._max if self.n else None,
-            "centroids": [list(c) for c in self._compacted()],
+            "centroids": [list(c) for c in self._query_view()],
         }
 
     @classmethod

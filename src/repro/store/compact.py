@@ -27,16 +27,21 @@ Every action lands in ``repro_store_*`` counters
 ...                       coarsen_to=60.0)
 >>> compactor.run_once()          # one pass, returns a stats dict
 >>> compactor.start(interval=60)  # or a background daemon thread
+
+The thread is a :class:`~repro.obs.ticker.Ticker` (``with`` starts it
+at 60 s); ``install_shutdown_hook(compactor)`` stops it at exit, so a
+clean exit never cuts a pass between writing the coarse segment and
+removing the fine ones.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 from typing import Callable
 
-from ..obs.registry import MetricsRegistry, get_registry
+from ..obs.registry import MetricsRegistry
+from ..obs.ticker import Ticker
 from ..obs.timeline import _fold_window_rows
 from .segment import SegmentReader
 from .store import SketchStore, _Window
@@ -78,7 +83,7 @@ def _coarsen(windows: list[tuple], coarsen_to: float) -> list[dict]:
     return out
 
 
-class Compactor:
+class Compactor(Ticker):
     """Background TTL/decay compaction over one :class:`SketchStore`.
 
     Parameters
@@ -100,8 +105,11 @@ class Compactor:
     max_level:
         Segments at this level no longer decay (they still expire).
     clock, registry:
-        Injectable time source / metrics registry, as elsewhere.
+        Injectable source of each pass's ``now`` / metrics registry, as
+        elsewhere (the thread's schedule is monotonic).
     """
+
+    _thread_name = "repro-store-compactor"
 
     def __init__(
         self,
@@ -132,13 +140,7 @@ class Compactor:
         self.max_level = int(max_level)
         self._clock = clock
         self._registry = registry
-        self._thread: threading.Thread | None = None
-        self._stop_event = threading.Event()
         self.runs = 0
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        return self._registry if self._registry is not None else get_registry()
 
     def _count(self, name: str, help: str, amount: float = 1.0) -> None:
         self.registry.counter(name, help).inc(amount)
@@ -247,42 +249,18 @@ class Compactor:
 
     # -- lifecycle -------------------------------------------------------------
 
-    @property
-    def running(self) -> bool:
-        return self._thread is not None
-
     def start(self, interval: float = 60.0) -> "Compactor":
-        """Run :meth:`run_once` every ``interval`` seconds from a daemon thread."""
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval}")
-        if self._thread is not None:
-            raise RuntimeError("Compactor is already running")
-        self._stop_event.clear()
+        """Run :meth:`run_once` every ``interval`` seconds from a daemon thread.
 
-        def loop() -> None:
-            while not self._stop_event.wait(interval):
-                self.run_once()
+        Passes keep to a monotonic grid of the period, the first at its
+        next point; a pass that raises is counted and the next one still
+        runs (:mod:`repro.obs.ticker`).  ``with Compactor(...)`` starts a
+        60 s compactor; :meth:`stop` waits up to 5 s for a running pass.
+        """
+        return self._start(interval)
 
-        self._thread = threading.Thread(
-            target=loop, name="repro-store-compactor", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop the background thread (idempotent, including before start)."""
-        thread = self._thread
-        self._thread = None
-        if thread is None:
-            return
-        self._stop_event.set()
-        thread.join(timeout=5.0)
-
-    def __enter__(self) -> "Compactor":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
+    def _pass(self, deadline: float) -> None:
+        self.run_once()
 
     def __repr__(self) -> str:
         state = "running" if self.running else "idle"

@@ -3,6 +3,8 @@
 import json
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from repro.obs import TimelineRecorder, install_shutdown_hook, uninstall_shutdown_hook
 from repro.obs.lifecycle import _flush_all, _registered
 from repro.obs.registry import MetricsRegistry
+from repro.store import Compactor, SketchStore
 
 
 @pytest.fixture(autouse=True)
@@ -105,6 +108,71 @@ class TestRegistration:
         install_shutdown_hook(Bad(), Good())
         _flush_all()  # must not raise
         assert stopped == [True]
+
+
+def _one_window_store(path) -> SketchStore:
+    store = SketchStore(str(path))
+    store.append(0.0, 1.0, [{"name": "reqs", "labels": {}, "kind": "counter", "value": 5.0}])
+    return store
+
+
+class TestCompactor:
+    def test_compactor_is_accepted_and_its_store_sealed(self, tmp_path):
+        store = _one_window_store(tmp_path / "db")
+        compactor = Compactor(store, ttl=60.0, registry=MetricsRegistry())
+        install_shutdown_hook(compactor)
+        assert _registered == [("compactor", compactor)]
+        _flush_all()
+        assert len(store.segments()) == 1  # the active segment was sealed
+
+    def test_compactors_stop_after_recorders_and_before_stores(self):
+        order = []
+
+        class FakeRecorder:
+            store = None
+
+            def tick(self):
+                pass
+
+            def stop(self):
+                order.append("recorder")
+
+        class FakeCompactor:
+            store = None
+
+            def run_once(self):
+                pass
+
+            def stop(self):
+                order.append("compactor")
+
+        class FakeStore:
+            def close(self):
+                order.append("store")
+
+        install_shutdown_hook(FakeStore(), FakeCompactor(), FakeRecorder())
+        _flush_all()
+        assert order == ["recorder", "compactor", "store"]
+
+    def test_flush_waits_for_a_pass_in_progress(self, tmp_path):
+        store = _one_window_store(tmp_path / "db")
+        compactor = Compactor(store, ttl=60.0, registry=MetricsRegistry())
+        entered = threading.Event()
+        finished = []
+
+        def slow_pass():
+            entered.set()
+            time.sleep(0.2)
+            finished.append(True)
+
+        compactor.run_once = slow_pass
+        compactor.start(interval=0.01)
+        assert entered.wait(timeout=5.0)
+        install_shutdown_hook(compactor)
+        _flush_all()
+        assert finished == [True]
+        assert not compactor.running
+        assert len(store.segments()) == 1
 
 
 SUBPROCESS_SCRIPT = """

@@ -276,7 +276,7 @@ def test_audit_checks(pinned):
         repro_audit_checks_total{kind=rank,sketch=KLLSketch} 1
         repro_audit_error_bound{kind=cardinality,sketch=HyperLogLog} 0.311288
         repro_audit_error_bound{kind=frequency,sketch=CountMinSketch} 0.228439
-        repro_audit_error_bound{kind=rank,sketch=KLLSketch} 0.0920875
+        repro_audit_error_bound{kind=rank,sketch=KLLSketch} 0.0927395
         repro_audit_observed_error{kind=cardinality,sketch=HyperLogLog} 0.0884665
         repro_audit_observed_error{kind=frequency,sketch=CountMinSketch} 0.0095
         repro_audit_observed_error{kind=rank,sketch=KLLSketch} 0.0165

@@ -284,6 +284,36 @@ class TestTDigestSpecifics:
         assert touched.state_dict() == untouched.state_dict()
         assert touched.quantile(0.01) == untouched.quantile(0.01)
 
+    def test_querying_leaves_the_digest_unchanged(self):
+        rng = random.Random(13)
+        values = [rng.gauss(0.0, 1.0) for _ in range(5000)]
+        queried, untouched = TDigest(buffer_size=64), TDigest(buffer_size=64)
+        for i, v in enumerate(values):
+            queried.update(v)
+            untouched.update(v)
+            if i % 997 == 0:
+                fresh = TDigest.from_state_dict(untouched.state_dict())
+                assert queried.quantile(0.5) == fresh.quantile(0.5)
+                assert queried.rank(0.0) == fresh.rank(0.0)
+                assert queried.size == fresh.size
+                assert queried._buffer == untouched._buffer
+        assert queried.state_dict() == untouched.state_dict()
+        assert queried.quantile(0.01) == untouched.quantile(0.01)
+
+    def test_repeated_queries_compact_once_between_updates(self, monkeypatch):
+        td = TDigest(buffer_size=64)
+        for v in range(100):
+            td.update(float(v))
+        calls = []
+        real = TDigest._compacted
+        monkeypatch.setattr(TDigest, "_compacted", lambda self: calls.append(1) or real(self))
+        first = td.quantile(0.5)
+        assert (td.quantile(0.5), td.rank(50.0), td.size) == (first, td.rank(50.0), td.size)
+        assert len(calls) == 1
+        td.update(100.0)
+        td.quantile(0.5)
+        assert len(calls) == 2
+
 
 class TestQDigestSpecifics:
     def test_invalid_params(self):
