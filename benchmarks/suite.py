@@ -26,8 +26,10 @@ Tags:
   ``obs/observe_inline`` is the per-request path (one ``observe`` +
   one ``inc`` per value on labelled series, a tick per window),
   ``obs/timeline_query`` folds window KLL partials for range quantiles,
-  ``obs/timeline_series`` is one dashboard ``/timeline`` poll (per-window
-  p50/p99 points over a full ring, three labelled series),
+  ``obs/timeline_series`` is one new window ticked, then one dashboard
+  ``/timeline`` poll (per-window p50/p99 points over a full ring, three
+  labelled series: the new window's answer is made, the other 59 are
+  read from their windows — the ``live`` workload's shape),
   ``obs/alert_eval`` runs full alert-engine evaluation passes (threshold,
   p99 SLO, KLL drift, change-point) against a prebuilt timeline;
 - ``store`` — the durable sketch store (the A12 persistence plane):
@@ -586,20 +588,31 @@ def build_runner(
         registry, recorder, clock = _timeline_fixture(max_windows=POLL_WINDOWS)
         hists = [registry.histogram("bench_lat_seconds", "Poll bench.", route=f"r{i}")
                  for i in range(len(POLL_OBS))]
+        chunks = [[ctx.rng.lognormal(mean=-5.0, sigma=0.5, size=n) for n in POLL_OBS]
+                  for _ in range(POLL_WINDOWS)]
         recorder.tick()  # attach the window mirrors
-        for _ in range(POLL_WINDOWS):
-            for hist, n in zip(hists, POLL_OBS):
-                hist.observe_many(ctx.rng.lognormal(mean=-5.0, sigma=0.5, size=n))
+
+        def tick(w):
+            for hist, chunk in zip(hists, chunks[w % len(chunks)]):
+                hist.observe_many(chunk)
             clock[0] += 1.0
             recorder.tick()
-        return recorder
 
-    def series_run(_, recorder):
-        # One poll = the /timeline points of every labelled series: a
-        # one-window fold per bucket, then p50/p99 from each.
-        for _ in range(POLL_REPEATS):
-            for i in range(len(POLL_OBS)):
-                recorder.series("bench_lat_seconds", quantiles=(0.5, 0.99), route=f"r{i}")
+        for w in range(POLL_WINDOWS):
+            tick(w)
+        poll(recorder)  # earlier polls have read every window but the next
+        return {"recorder": recorder, "tick": tick}
+
+    def poll(recorder):
+        for i in range(len(POLL_OBS)):
+            recorder.series("bench_lat_seconds", quantiles=(0.5, 0.99), route=f"r{i}")
+
+    def series_run(_, data):
+        # One poll per new window: the /timeline points of every labelled
+        # series, the new window's p50/p99 made, the rest read back.
+        for w in range(POLL_REPEATS):
+            data["tick"](w)
+            poll(data["recorder"])
 
     runner.add(
         cid, "Timeline",

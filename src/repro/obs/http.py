@@ -44,7 +44,12 @@ at* the numbers.  :class:`ObsServer` is a stdlib-only
     series with points in one payload (what ``/dashboard`` polls).
     When the recorder has a :class:`~repro.store.SketchStore`
     attached, a ``?since=`` older than the ring transparently reaches
-    into persisted segments.
+    into persisted segments.  The body is
+    :meth:`~repro.obs.TimelineRecorder.metric_json`: each series' rows
+    are gathered once for both its range block and its points, and the
+    points are written from the encoded answers ring windows keep.
+    ``since``, ``until`` and ``step`` must be finite and every ``q`` in
+    [0, 1] (else 400 naming the parameter).
 ``GET /query``
     The durable store's query engine as JSON.  Bare: store stats plus
     the persisted series index.  ``?metric=NAME[&since=T&until=T
@@ -89,6 +94,7 @@ current instruments.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -127,13 +133,17 @@ def _error(message: str, param: str | None = None) -> str:
 
 
 def _float_param(query: dict, name: str, default: float | None = None):
+    """A finite number: ``nan`` and ``inf`` would make a body that is not JSON."""
     values = query.get(name)
     if not values:
         return default
     try:
-        return float(values[0])
+        value = float(values[0])
     except (TypeError, ValueError):
         raise _BadParam(name, f"{name} must be a number, got {values[0]!r}") from None
+    if not math.isfinite(value):
+        raise _BadParam(name, f"{name} must be finite, got {values[0]!r}")
+    return value
 
 
 def _int_param(query: dict, name: str, default: int | None = None):
@@ -151,11 +161,14 @@ def _int_param(query: dict, name: str, default: int | None = None):
 def _quantiles_param(query: dict) -> tuple[float, ...]:
     raw = query.get("q", ["0.5,0.99"])[0]
     try:
-        return tuple(float(q) for q in raw.split(",") if q)
+        quantiles = tuple(float(q) for q in raw.split(",") if q)
     except (TypeError, ValueError):
         raise _BadParam(
             "q", f"q must be comma-separated ranks, got {raw!r}"
         ) from None
+    if not all(0.0 <= q <= 1.0 for q in quantiles):
+        raise _BadParam("q", f"q ranks must be in [0, 1], got {raw!r}")
+    return quantiles
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -407,48 +420,12 @@ class ObsServer:
                 "metrics": recorder.metrics(),
             }
             return json.dumps(payload), 200
-        entries = [e for e in recorder.metrics() if e["name"] == metric]
-        if not entries:
+        body = recorder.metric_json(
+            metric, since=since, until=until, step=step, quantiles=quantiles
+        )
+        if body is None:
             return _error(f"no timeline data for metric {metric!r}", "metric"), 404
-        series = []
-        for entry in entries:
-            result = recorder.query(
-                metric, since=since, until=until, **entry["labels"]
-            )
-            item = {
-                "name": metric,
-                "labels": entry["labels"],
-                "kind": entry["kind"],
-                "points": recorder.series(
-                    metric,
-                    since=since,
-                    until=until,
-                    step=step,
-                    quantiles=quantiles,
-                    **entry["labels"],
-                ),
-                "range": {
-                    "since": None if since is None else since,
-                    "until": None if until is None else until,
-                    "start": result.start,
-                    "end": result.end,
-                    "n_windows": result.n_windows,
-                },
-            }
-            if entry["kind"] == "counter":
-                item["range"]["total"] = result.total
-                rate = result.rate
-                item["range"]["rate"] = None if rate != rate else rate
-            elif entry["kind"] == "gauge":
-                item["range"]["last"] = None if result.last != result.last else result.last
-            else:
-                item["range"]["count"] = result.count
-                item["range"]["quantiles"] = {
-                    str(q): (result.quantile(q) if result.count else None)
-                    for q in quantiles
-                }
-            series.append(item)
-        return json.dumps({"metric": metric, "series": series}), 200
+        return body, 200
 
     def _render_alerts(self, query: dict) -> tuple[str, int]:
         engine = self._alerts

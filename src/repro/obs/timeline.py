@@ -22,7 +22,11 @@ telemetry plane):
 - :meth:`TimelineRecorder.series` re-buckets windows onto a ``step``
   grid (counters summed, gauges last, histogram buckets merged) — the
   payload behind ``GET /timeline`` and the ``/dashboard`` sparklines
-  on :class:`~repro.obs.ObsServer`.
+  on :class:`~repro.obs.ObsServer`.  A published window never changes,
+  so it answers once: a bucket of one ring window reads the point
+  fields and encoded JSON that window keeps after its first read, and
+  only a bucket of several windows (or of a window read from the store)
+  folds on every poll.
 
 The recorder is **off by default**: nothing records until
 :meth:`~TimelineRecorder.start` (or an explicit :meth:`tick`), and the
@@ -51,12 +55,14 @@ also written through to disk, a restart rehydrates the ring (and the
 / :meth:`~TimelineRecorder.series` with an explicit ``since`` reach past
 the ring, reading only the asked-for series' rows of older windows
 from the store.  Ring, store, ``/timeline`` and decay-compaction reads
-all fold ``(start, end, labels, kind, value-or-partial)`` rows through
-one function.
+all fold ``(start, end, labels, kind, value-or-partial, window)`` rows
+through one function; ``window`` is the ring window that keeps the
+row's answers (``None`` for a row read from the store).
 """
 
 from __future__ import annotations
 
+import json
 import math
 import threading
 import time
@@ -86,9 +92,16 @@ class TimelineWindow:
     window.  ``counters`` hold per-window deltas, ``gauges`` the value
     at window close, ``histograms`` the per-window KLL partial; all
     keyed by ``(name, sorted-labels-tuple)``.
+
+    A published window never changes, so it answers once: ``answers``
+    keeps each series' one-window bucket answer (the point's fields and
+    their encoded JSON) once a read asks for it, one per ``(name,
+    labels)``, replaced when a histogram is asked other quantiles.  It
+    is freed with the window when the ring evicts it.
     """
 
-    __slots__ = ("index", "start", "end", "counters", "gauges", "histograms", "kinds")
+    __slots__ = ("index", "start", "end", "counters", "gauges", "histograms", "kinds",
+                 "answers")
 
     def __init__(self, index: int, start: float, end: float) -> None:
         self.index = index
@@ -99,6 +112,9 @@ class TimelineWindow:
         self.histograms: dict[tuple, Any] = {}
         #: key -> "counter" | "gauge" | "histogram" for every key above.
         self.kinds: dict[tuple, str] = {}
+        #: this window's :meth:`~TimelineRecorder.series` answers, made
+        #: by the first read that asks (None until then).
+        self.answers: dict | None = None
 
     @property
     def width(self) -> float:
@@ -230,9 +246,11 @@ def fold_partials(parts: list):
 
 def _fold_window_rows(metric: str, rows: list, labels: dict | tuple = (),
                       since: float = -math.inf, until: float = math.inf) -> RangeResult:
-    """Fold time-ordered ``(start, end, labels-tuple, kind, value-or-partial)`` rows.
+    """Fold time-ordered ``(start, end, labels-tuple, kind, value-or-partial, window)`` rows.
 
-    Counters sum, gauges keep time-ordered values, partials go through
+    ``window`` is the ring :class:`TimelineWindow` the row was read
+    from, which holds its answers (``None`` for a store row).  Counters
+    sum, gauges keep time-ordered values, partials go through
     :func:`fold_partials`; ``kind`` reads ``"mixed"`` when rows disagree
     and ``n_windows`` counts distinct windows.  The one range fold of
     the recorder, the store (GROUP BY included) and decay compaction.
@@ -240,7 +258,7 @@ def _fold_window_rows(metric: str, rows: list, labels: dict | tuple = (),
     result = RangeResult(metric, "", labels, since, until)
     partials = []
     windows = set()
-    for start, end, _, kind, value in rows:
+    for start, end, _, kind, value, _ in rows:
         windows.add((start, end))
         result.start = start if result.start is None else min(result.start, start)
         result.end = end if result.end is None else max(result.end, end)
@@ -256,6 +274,81 @@ def _fold_window_rows(metric: str, rows: list, labels: dict | tuple = (),
     if partials:
         result.sketch = fold_partials(partials)
     return result
+
+
+def _fold_point(metric: str, rows: list, quantiles: tuple) -> tuple[dict, str]:
+    """``(fields, encoded)`` of the point that folds ``rows``.
+
+    ``fields`` follow ``t`` in the point: the counter's or gauge's
+    ``value``, or a histogram's ``count`` and ``quantiles``;
+    ``encoded`` is their JSON as it follows ``"t": ...`` in the point's.
+    """
+    folded = _fold_window_rows(metric, rows)
+    if folded.kind == "counter":
+        fields = {"value": folded.total}
+    elif folded.kind == "gauge":
+        fields = {"value": folded.last}
+    else:
+        fields = {
+            "count": folded.count,
+            "quantiles": {str(q): (folded.quantile(q) if folded.count else None)
+                          for q in quantiles},
+        }
+    return fields, json.dumps(fields)[1:]
+
+
+def _answer(metric: str, rows: list, quantiles: tuple, qkey: tuple) -> tuple[dict, str]:
+    """:func:`_fold_point` of one bucket; a one-window bucket's is its window's answer.
+
+    A ring window keeps one answer per series, made on the first read
+    that asks and replaced when a histogram's ``qkey`` changes; rows
+    read past the ring (window ``None``) and buckets of several rows
+    fold on every read.  Callers copy ``fields`` before handing it out.
+    """
+    if len(rows) != 1 or rows[0][5] is None:
+        return _fold_point(metric, rows, quantiles)
+    _, _, labels, kind, _, window = rows[0]
+    if kind != "histogram":
+        qkey = None  # a counter's or gauge's value does not depend on q
+    answers = window.answers
+    if answers is None:
+        answers = window.answers = {}
+    answer = answers.get((metric, labels))
+    if answer is None or answer[0] != qkey:
+        answer = answers[metric, labels] = (qkey, *_fold_point(metric, rows, quantiles))
+    return answer[1], answer[2]
+
+
+def _json_number(x) -> str:
+    """``json.dumps(x)`` for a number, without the encoder for a finite float."""
+    return float.__repr__(x) if type(x) is float and math.isfinite(x) else json.dumps(x)
+
+
+def _points_json(points: list) -> str:
+    """The JSON of a series' points from ``(t, fields, encoded)`` triples.
+
+    Byte-identical to ``json.dumps`` of the point dicts
+    :meth:`TimelineRecorder.series` returns, written from the encoded
+    answers instead of re-encoding them.
+    """
+    return "[" + ", ".join(['{"t": ' + _json_number(t) + ", " + encoded
+                            for t, _, encoded in points]) + "]"
+
+
+def _object_json(obj: dict, **raw: str) -> str:
+    """``json.dumps(obj)``, with the value of each key in ``raw`` written as that JSON text."""
+    return "{" + ", ".join(
+        json.dumps(key) + ": " + (raw[key] if key in raw else json.dumps(value))
+        for key, value in obj.items()
+    ) + "}"
+
+
+def _point(t: float, fields: dict) -> dict:
+    """A fresh point dict: no caller shares the window's answer."""
+    point = {"t": t, **fields}
+    if "quantiles" in fields:
+        point["quantiles"] = dict(fields["quantiles"])
+    return point
 
 
 class TimelineRecorder(Ticker):
@@ -563,7 +656,7 @@ class TimelineRecorder(Ticker):
                 kind = window.kinds.get(key)
                 if kind is not None:
                     value = window._table(kind)[key]
-                    rows.append((window.start, window.end, key[1], kind, value))
+                    rows.append((window.start, window.end, key[1], kind, value, window))
         if wanted is None:
             candidates = sorted({row[2] for row in rows})
             if len(candidates) > 1:
@@ -596,6 +689,29 @@ class TimelineRecorder(Ticker):
         wanted, rows = self._rows(metric, since, until, labels)
         return _fold_window_rows(metric, rows, wanted, lo, hi)
 
+    def _answers(self, metric: str, since, until, step, quantiles: tuple,
+                 labels: dict) -> tuple[tuple, list, list]:
+        """``(labels-tuple, rows, points)`` of one series from one row gather.
+
+        ``rows`` are :meth:`_rows`' (the range fold's input); ``points``
+        hold ``(t, fields, encoded)`` per non-empty bucket of the
+        ``step`` grid, oldest first (:func:`_answer`: a one-window
+        bucket of the ring reads its window's answer).  ``fields`` are
+        shared with the window and must be copied before they are
+        handed out.
+        """
+        step = self.interval if step is None else step
+        if step <= 0:
+            raise ValueError(f"step must be > 0, got {step}")
+        wanted, rows = self._rows(metric, since, until, labels)
+        buckets: dict[int, list] = {}
+        for row in rows:
+            buckets.setdefault(int(math.floor(row[0] / step)), []).append(row)
+        qkey = tuple(str(q) for q in quantiles)
+        points = [(index * step, *_answer(metric, buckets[index], quantiles, qkey))
+                  for index in sorted(buckets)]
+        return wanted, rows, points
+
     def series(
         self,
         metric: str,
@@ -612,31 +728,62 @@ class TimelineRecorder(Ticker):
         folded like :meth:`query`: counter points carry the summed
         deltas, gauge points the last value, histogram points ``count``
         plus the requested ``quantiles``.  Each point is
-        ``{"t": bucket_start, ...}``; empty buckets are omitted.
+        ``{"t": bucket_start, ...}``; empty buckets are omitted.  A
+        bucket of one window reads the answer that window keeps after
+        its first read; the points returned are fresh dicts.
         """
-        step = self.interval if step is None else step
-        if step <= 0:
-            raise ValueError(f"step must be > 0, got {step}")
-        _, rows = self._rows(metric, since, until, labels)
-        buckets: dict[int, list] = {}
-        for row in rows:
-            buckets.setdefault(int(math.floor(row[0] / step)), []).append(row)
-        points = []
-        for index in sorted(buckets):
-            folded = _fold_window_rows(metric, buckets[index])
-            point: dict[str, Any] = {"t": index * step}
-            if folded.kind == "counter":
-                point["value"] = folded.total
-            elif folded.kind == "gauge":
-                point["value"] = folded.last
+        _, _, points = self._answers(metric, since, until, step, quantiles, labels)
+        return [_point(t, fields) for t, fields, _ in points]
+
+    def metric_json(
+        self,
+        metric: str,
+        since: float | None = None,
+        until: float | None = None,
+        step: float | None = None,
+        quantiles: tuple[float, ...] = (0.5, 0.99),
+    ) -> str | None:
+        """The ``GET /timeline?metric=`` body as JSON text (None: no such metric).
+
+        One entry per labelset of ``metric`` in the ring: its
+        :meth:`series` points plus a ``range`` block folded like
+        :meth:`query`, both from one row gather.  The points are written
+        from the encoded answers their windows keep, byte-identical to
+        ``json.dumps`` of what :meth:`series` returns.
+        """
+        entries = [e for e in self.metrics() if e["name"] == metric]
+        if not entries:
+            return None
+        lo = -math.inf if since is None else float(since)
+        hi = math.inf if until is None else float(until)
+        series = []
+        for entry in entries:
+            wanted, rows, points = self._answers(metric, since, until, step, quantiles,
+                                                 entry["labels"])
+            result = _fold_window_rows(metric, rows, wanted, lo, hi)
+            block = {
+                "since": since,
+                "until": until,
+                "start": result.start,
+                "end": result.end,
+                "n_windows": result.n_windows,
+            }
+            if entry["kind"] == "counter":
+                block["total"] = result.total
+                rate = result.rate
+                block["rate"] = None if rate != rate else rate
+            elif entry["kind"] == "gauge":
+                block["last"] = None if result.last != result.last else result.last
             else:
-                point["count"] = folded.count
-                point["quantiles"] = {
-                    str(q): (folded.quantile(q) if folded.count else None)
+                block["count"] = result.count
+                block["quantiles"] = {
+                    str(q): (result.quantile(q) if result.count else None)
                     for q in quantiles
                 }
-            points.append(point)
-        return points
+            item = {**entry, "points": None, "range": block}
+            series.append(_object_json(item, points=_points_json(points)))
+        return _object_json({"metric": metric, "series": None},
+                            series="[" + ", ".join(series) + "]")
 
     def as_dict(
         self,

@@ -19,7 +19,7 @@ those hours' raw observations.
   into a :class:`~repro.obs.RangeResult`; ``group_by="label"``
   partitions the fold by that label's value — the GROUP BY read path.
   The fold is the timeline's own, over ``(start, end, labels, kind,
-  value-or-partial)`` rows; the same rows serve
+  value-or-partial, window)`` rows; the same rows serve
   :meth:`~repro.obs.TimelineRecorder.query` and ``series`` for windows
   older than the recorder's ring.
 - :meth:`SketchStore.iter_windows` replays windows oldest-first (the
@@ -139,10 +139,10 @@ class _Window:
         return sketch
 
     def row(self, i: int) -> tuple:
-        """Series ``i`` as a ``(start, end, labels-tuple, kind, value-or-partial)`` fold row."""
+        """Series ``i`` as a fold row; its ``window`` is None, as a record keeps no answers."""
         entry = self.series[i]
         value = self.sketch(i) if "blob" in entry else float(entry["value"])
-        return (self.start, self.end, self.keys[i][1], entry["kind"], value)
+        return (self.start, self.end, self.keys[i][1], entry["kind"], value, None)
 
     def entries(self, revive: bool) -> list[dict]:
         """Fresh copies of the series entries, blobs revived when asked."""

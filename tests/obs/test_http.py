@@ -1,8 +1,11 @@
 """ObsServer: /metrics, /trace, /healthz over a live ephemeral port."""
 
 import json
+import sys
+import time
 import urllib.error
 import urllib.request
+from urllib.parse import parse_qs
 
 import numpy as np
 import pytest
@@ -325,10 +328,43 @@ class TestReadsLeavePartialsUntouched:
     alert pass) must leave the ring's partials and the ones revived from
     the store byte-identical.  The store caches the partials it revives
     and serves them again to later passes and polls, so those must stay
-    equal to their persisted bytes too.
+    equal to their persisted bytes too.  Published windows also keep
+    their one-window ``/timeline`` answers: a poll must serve each
+    window's own answer for the asked ``q``, and nothing a reader gets
+    back may be the window's copy.
     """
 
     ROUTES = ("a", "b", "c")
+
+    def build(self, tmp_path, max_windows=8):
+        """(registry, recorder, store, store registry, histograms, tick, clock, rng)."""
+        from repro.obs import TimelineRecorder
+        from repro.store import SketchStore
+
+        registry = MetricsRegistry()
+        store_registry = MetricsRegistry()
+        clock = [1000.0]
+        recorder = TimelineRecorder(registry=registry, interval=1.0,
+                                    max_windows=max_windows, clock=lambda: clock[0])
+        store = SketchStore(str(tmp_path / "db"), partition_seconds=4.0,
+                            registry=store_registry)
+        recorder.attach_store(store)
+        hists = [registry.histogram("lat_seconds", route=r) for r in self.ROUTES]
+        counters = [registry.counter("ops_total", route=r) for r in self.ROUTES]
+        rng = np.random.default_rng(11)
+        recorder.tick(clock[0])
+
+        def tick():
+            for i, (hist, counter) in enumerate(zip(hists, counters)):
+                n = int(rng.integers(20, 120))
+                hist.observe_many(rng.lognormal(-5.0 + 0.2 * i, 0.5, n))
+                counter.inc(n)
+            clock[0] += 1.0
+            recorder.tick(clock[0])
+
+        for _ in range(20):
+            tick()
+        return registry, recorder, store, store_registry, hists, tick, clock, rng
 
     def test_timeline_query_and_alert_pass(self, tmp_path):
         from repro.obs import (
@@ -337,31 +373,11 @@ class TestReadsLeavePartialsUntouched:
             DriftRule,
             QuantileRule,
             ThresholdRule,
-            TimelineRecorder,
         )
         from repro.quantiles import KLLSketch
-        from repro.store import SketchStore
         from repro.store.store import encode_partial
 
-        registry = MetricsRegistry()
-        store_registry = MetricsRegistry()
-        clock = [1000.0]
-        recorder = TimelineRecorder(registry=registry, interval=1.0, max_windows=8,
-                                    clock=lambda: clock[0])
-        store = SketchStore(str(tmp_path / "db"), partition_seconds=4.0,
-                            registry=store_registry)
-        recorder.attach_store(store)
-        hists = [registry.histogram("lat_seconds", route=r) for r in self.ROUTES]
-        counters = [registry.counter("ops_total", route=r) for r in self.ROUTES]
-        rng = np.random.default_rng(11)
-        recorder.tick(clock[0])
-        for _ in range(20):
-            for i, (hist, counter) in enumerate(zip(hists, counters)):
-                n = int(rng.integers(20, 120))
-                hist.observe_many(rng.lognormal(-5.0 + 0.2 * i, 0.5, n))
-                counter.inc(n)
-            clock[0] += 1.0
-            recorder.tick(clock[0])
+        registry, recorder, store, store_registry, hists, _, clock, rng = self.build(tmp_path)
         labels = {"route": "a"}
         engine = AlertEngine(recorder, rules=[
             ThresholdRule("rate", "ops_total", threshold=1e9, over=3, labels=labels),
@@ -386,9 +402,11 @@ class TestReadsLeavePartialsUntouched:
             if window["start"] < cutoff
         ]
         older_before = self.snapshot(older)
-        # The answers a one-window bucket gave when every fold copied.
+        # The answers a one-window bucket gave when every fold copied,
+        # for each q tuple the polls ask.
         covered = older + [(window.start, window.histograms)
                            for window in recorder.windows(since, until)]
+        qsets = ("0.5,0.99", "0.1,0.9", "0.99")
         expected = {}
         for route in self.ROUTES:
             key = ("lat_seconds", (("route", route),))
@@ -397,19 +415,25 @@ class TestReadsLeavePartialsUntouched:
                 caps = part._capacities()
                 assert all(len(buf) < cap for buf, cap in zip(part._compactors, caps))
                 copy = KLLSketch._merge_many_impl([part])
-                expected[route, start] = {
-                    "count": copy.n,
-                    "quantiles": {"0.5": copy.quantile(0.5), "0.99": copy.quantile(0.99)},
-                }
+                for qs in qsets:
+                    expected[route, start, qs] = {
+                        "count": copy.n,
+                        "quantiles": {q: copy.quantile(float(q)) for q in qs.split(",")},
+                    }
 
         srv = ObsServer(port=0, registry=registry, timeline=recorder, alerts=engine)
         srv.start()
         try:
-            timeline_url = (srv.url + f"/timeline?metric=lat_seconds&since={since!r}"
-                            f"&until={until!r}&q=0.5,0.99")
-            polls = [json.loads(fetch(timeline_url)[1]) for _ in range(2)]
-            status, _, _ = fetch(srv.url + f"/timeline?all=1&since={since!r}")
-            assert status == 200
+            polls = []
+            for qs in qsets + qsets:  # each q tuple twice: made, then read
+                url = (srv.url + f"/timeline?metric=lat_seconds&since={since!r}"
+                       f"&until={until!r}&q={qs}")
+                polls.append((qs, json.loads(fetch(url)[1])))
+            for query in (f"all=1&since={since!r}", f"all=1&since={since!r}&step=2.5",
+                          f"metric=lat_seconds&since={since!r}&step=0.5",
+                          f"metric=ops_total&since={since!r}&step=2.5"):
+                status, _, _ = fetch(srv.url + f"/timeline?{query}")
+                assert status == 200, query
             status, _, _ = fetch(srv.url + f"/query?metric=lat_seconds&since={since!r}"
                                  "&group_by=route&q=0.5,0.99")
             assert status == 200
@@ -421,6 +445,7 @@ class TestReadsLeavePartialsUntouched:
                 recorder.tick(clock[0])
                 engine.evaluate(clock[0])
                 fetch(srv.url + f"/query?metric=lat_seconds&since={since!r}&q=0.99")
+                fetch(srv.url + f"/timeline?metric=lat_seconds&since={since!r}")
         finally:
             srv.stop()
             store.close()
@@ -437,19 +462,125 @@ class TestReadsLeavePartialsUntouched:
         assert self.snapshot(ring) == before
         assert older
         assert self.snapshot(older) == older_before
-        for doc in polls:
+        for qs, doc in polls:
             for series in doc["series"]:
                 points = series["points"]
                 assert len(points) == len(covered)
                 for point in points:
-                    want = expected[series["labels"]["route"], point["t"]]
+                    want = expected[series["labels"]["route"], point["t"], qs]
                     assert {"count": point["count"], "quantiles": point["quantiles"]} == want
+
+    def test_series_and_as_dict_hand_out_fresh_dicts(self, tmp_path):
+        _, recorder, store, _, _, _, clock, _ = self.build(tmp_path)
+        srv = ObsServer(port=0, timeline=recorder)
+        since = clock[0] - 15.0
+        queries = [f"metric=lat_seconds&since={since!r}", f"metric=ops_total&since={since!r}",
+                   f"all=1&since={since!r}"]
+
+        def hand_out():
+            handed = [recorder.series("lat_seconds", since=since, route=r)
+                      for r in self.ROUTES]
+            handed.append(recorder.series("ops_total", since=since, route="a"))
+            handed.extend(m["points"] for m in recorder.as_dict(since=since)["metrics"])
+            return handed
+
+        with srv:
+            bodies = [fetch(srv.url + f"/timeline?{query}")[1] for query in queries]
+            handed = hand_out()
+            first = json.dumps(handed)
+            for points in handed:
+                for point in points:
+                    if "quantiles" in point:
+                        point["quantiles"]["0.5"] = -1.0
+                        point["quantiles"]["0.75"] = 3.0
+                    for field in list(point):
+                        point[field] = -1
+            assert [fetch(srv.url + f"/timeline?{query}")[1] for query in queries] == bodies
+            assert json.dumps(hand_out()) == first
+        store.close()
+
+    def test_each_window_keeps_one_answer_per_series(self, tmp_path):
+        """Polls asking many distinct ``q`` leave one answer per series per window."""
+        from repro.quantiles import KLLSketch
+
+        _, recorder, store, _, _, _, clock, _ = self.build(tmp_path)
+        srv = ObsServer(timeline=recorder)
+        since = clock[0] - 15.0  # reaches past the ring into the store
+        ring = recorder.windows()
+        for i in range(12):
+            qs = f"0.{i + 1:02d},0.9"
+            for metric in ("lat_seconds", "ops_total"):
+                body, status = srv._render_timeline(
+                    parse_qs(f"metric={metric}&since={since!r}&q={qs}"))
+                assert status == 200
+            for window in ring:
+                assert len(window.answers) == 2 * len(self.ROUTES)  # the polled series
+            doc = json.loads(srv._render_timeline(
+                parse_qs(f"metric=lat_seconds&since={since!r}&q={qs}"))[0])
+            window = ring[-1]
+            for series in doc["series"]:
+                key = ("lat_seconds", (("route", series["labels"]["route"]),))
+                copy = KLLSketch._merge_many_impl([window.histograms[key]])
+                assert series["points"][-1]["quantiles"] == {
+                    str(float(q)): copy.quantile(float(q)) for q in qs.split(",")}
+        store.close()
+
+    def test_threaded_polls_during_ticks(self, tmp_path):
+        """Polls racing ticks that evict their windows serve single-threaded bodies."""
+        import threading
+
+        ref = self.build(tmp_path / "ref", max_windows=64)
+        _, recorder, store, _, _, tick, clock, _ = self.build(tmp_path / "live")
+        since, until = clock[0] - 7.0, clock[0] - 1.0
+        queries = [f"metric=lat_seconds&since={since!r}&until={until!r}&q=0.5,0.99",
+                   f"metric=lat_seconds&since={since!r}&until={until!r}&q=0.9",
+                   f"metric=lat_seconds&since={since!r}&until={until!r}&step=2.5",
+                   f"metric=ops_total&since={since!r}&until={until!r}"]
+        ref_srv = ObsServer(timeline=ref[1])
+        expected = {query: ref_srv._render_timeline(parse_qs(query))[0] for query in queries}
+        srv = ObsServer(port=0, timeline=recorder)
+        served, errors = [], []
+        start = threading.Barrier(5)
+
+        def poll():
+            start.wait(timeout=30)
+            try:
+                for _ in range(6):
+                    for query in queries:
+                        status, body, _ = fetch(srv.url + f"/timeline?{query}")
+                        served.append((status, query, body))
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the handlers' memo reads and writes
+        try:
+            with srv:
+                threads = [threading.Thread(target=poll) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                start.wait(timeout=30)
+                for _ in range(8):  # evicts every polled window into the store
+                    tick()
+                    time.sleep(0.002)
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors
+        assert recorder.coverage()[0] > until  # the polls ended past the ring
+        assert len(served) == 4 * 6 * len(queries)
+        for status, query, body in served:
+            assert status == 200
+            assert body == expected[query], query
+        store.close()
+        ref[2].close()
 
     @staticmethod
     def snapshot(windows) -> list:
         return [(start, key, part.to_bytes())
                 for start, parts in windows for key, part in sorted(parts.items())]
-
 
 class TestErrorEnvelope:
     """Every endpoint's error paths speak {"error": ..., "param": ...}."""
@@ -499,6 +630,50 @@ class TestErrorEnvelope:
             status, body, _ = fetch(srv.url + "/timeline?metric=ghost")
             assert status == 404
             assert self.envelope(body)["param"] == "metric"
+
+    def test_non_finite_and_out_of_range_params_name_the_param(self, registry, tmp_path):
+        from repro.obs import TimelineRecorder
+        from repro.store import SketchStore
+
+        clock = [1000.0]
+        recorder = TimelineRecorder(registry=registry, interval=1.0, clock=lambda: clock[0])
+        counter = registry.counter("ops_total")
+        recorder.tick()
+        counter.inc(3)
+        clock[0] += 1.0
+        recorder.tick()
+        with SketchStore(tmp_path / "finite") as store:
+            store.append(0.0, 1.0, [{"name": "lat", "kind": "sketch",
+                                     "sketch": registry.histogram("lat")._kll}])
+            recorder.attach_store(store, replay=False)
+            with ObsServer(port=0, registry=registry, timeline=recorder,
+                           store=store) as srv:
+                cases = [
+                    ("/timeline", "metric=ops_total&since=nan", "since"),
+                    ("/timeline", "metric=ops_total&until=inf", "until"),
+                    ("/timeline", "metric=ops_total&step=inf", "step"),
+                    ("/timeline", "metric=ops_total&step=-inf", "step"),
+                    ("/timeline", "all=1&since=-inf", "since"),
+                    ("/timeline", "since=NaN", "since"),
+                    ("/timeline", "metric=ops_total&q=1.5", "q"),
+                    ("/timeline", "metric=ops_total&q=0.5,nan", "q"),
+                    ("/timeline", "metric=ops_total&q=-0.1", "q"),
+                    ("/query", "metric=lat&since=nan", "since"),
+                    ("/query", "metric=lat&until=-inf", "until"),
+                    ("/query", "metric=lat&q=2", "q"),
+                    ("/query", "metric=lat&q=nan", "q"),
+                    ("/profile", "hz=inf", "hz"),
+                ]
+                for route, query, param in cases:
+                    status, body, _ = fetch(srv.url + f"{route}?{query}")
+                    assert status == 400, query
+                    assert self.envelope(body)["param"] == param, query
+                for route, query in (("/timeline", "metric=ops_total&since=999&step=0.5"),
+                                     ("/timeline", "all=1&q=0,1"),
+                                     ("/query", "metric=lat&since=0&until=5")):
+                    status, body, _ = fetch(srv.url + f"{route}?{query}")
+                    assert status == 200, query
+                    json.loads(body, parse_constant=lambda name: pytest.fail(name))
 
     def test_query_missing_store(self, server):
         status, body, _ = fetch(server.url + "/query")
