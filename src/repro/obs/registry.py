@@ -227,7 +227,10 @@ class SketchHistogram:
     every 64 values, one bulk update feeds them to the cumulative KLL
     and the window mirror.  KLL's bulk path compacts at the same fill
     points as per-item updates, so both sketches end up bitwise-identical
-    to per-item feeding.  Any read flushes first.
+    to per-item feeding.  A fill pays for the levels it compacts,
+    not for the whole height (:func:`~repro.quantiles.kll.compress`),
+    which matters once a cumulative KLL is 11 levels tall and its
+    level 0 fills every 3 values.  Any read flushes first.
     """
 
     __slots__ = ("name", "help", "labels", "quantiles", "_kll", "_sum", "_lock",

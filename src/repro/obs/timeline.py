@@ -611,10 +611,15 @@ class TimelineRecorder(Ticker):
 
     def metrics(self) -> list[dict]:
         """Every series seen in the ring: ``{name, labels, kind}`` dicts."""
+        return self._series_of(None)
+
+    def _series_of(self, metric: str | None) -> list[dict]:
+        """:meth:`metrics`, sorted the same way, of one metric's series (None: all)."""
         seen: dict[tuple, str] = {}
         for window in self.windows():
             for key, kind in window.kinds.items():
-                seen.setdefault(key, kind)
+                if metric is None or key[0] == metric:
+                    seen.setdefault(key, kind)
         return [
             {"name": name, "labels": dict(labels), "kind": kind}
             for (name, labels), kind in sorted(seen.items())
@@ -751,7 +756,7 @@ class TimelineRecorder(Ticker):
         from the encoded answers their windows keep, byte-identical to
         ``json.dumps`` of what :meth:`series` returns.
         """
-        entries = [e for e in self.metrics() if e["name"] == metric]
+        entries = self._series_of(metric)
         if not entries:
             return None
         lo = -math.inf if since is None else float(since)

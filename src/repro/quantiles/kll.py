@@ -44,20 +44,69 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 
-class Coins:
-    """Fair coins from a splitmix64 stream; the whole state is one int in [0, 2⁶⁴)."""
+#: a stream flips this many coins one at a time before it draws batches
+_SCALAR_FLIPS = 16
+#: batches double from 2 × _SCALAR_FLIPS up to this many coins
+_MAX_BATCH = 1024
 
-    __slots__ = ("state",)
+
+def splitmix64_top_bits(state: int, size: int) -> list:
+    """Top bits of the splitmix64 outputs at states ``state + j·γ mod 2⁶⁴``, j = 1..size.
+
+    The mix's last step, z ^ (z >> 31), leaves the top bit as it is.
+    """
+    z = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GOLDEN_GAMMA) + np.uint64(state)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    return (((z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)) >> 63).tolist()
+
+
+class Coins:
+    """Fair coins from a splitmix64 stream; the whole state is one int in [0, 2⁶⁴).
+
+    Flip j (from 1) is the top bit of the splitmix64 output at state
+    ``seed + j·γ mod 2⁶⁴``.  So a state can skip ahead by any number of
+    flips, and after ``_SCALAR_FLIPS`` single flips the stream draws
+    its coins ahead in numpy batches (:func:`splitmix64_top_bits`) of
+    32 doubling up to ``_MAX_BATCH``: a sketch that flips once or twice
+    (a window mirror, a fold result) pays no numpy call, a busy one
+    pays well under a scalar mix per coin.  ``state`` is computed from
+    the batch's start state and the flips taken since, exact after
+    every flip; assigning it drops the coins drawn ahead.
+    """
+
+    __slots__ = ("_start", "_bits", "_taken")
 
     def __init__(self, seed: int = 0) -> None:
-        self.state = int(seed) & _MASK64
+        self._start = int(seed) & _MASK64
+        self._bits = ()
+        self._taken = 0
+
+    @property
+    def state(self) -> int:
+        return (self._start + self._taken * _GOLDEN_GAMMA) & _MASK64
+
+    @state.setter
+    def state(self, value: int) -> None:
+        self.__init__(value)
 
     def flip(self) -> int:
-        """Advance by the golden gamma; 0 or 1, the top bit of the splitmix64 mix."""
-        z = self.state = (self.state + _GOLDEN_GAMMA) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        # The mix's last step, z ^ (z >> 31), leaves the top bit as it is.
-        return ((z ^ (z >> 27)) * 0x94D049BB133111EB) >> 63 & 1
+        """0 or 1: the next coin of the stream; the state advances by γ."""
+        taken = self._taken
+        bits = self._bits
+        if taken < len(bits):
+            self._taken = taken + 1
+            return bits[taken]
+        if not bits and taken < _SCALAR_FLIPS:
+            # :func:`splitmix64_top_bits` of one state, in Python ints
+            self._taken = taken + 1
+            z = (self._start + (taken + 1) * _GOLDEN_GAMMA) & _MASK64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            return ((z ^ (z >> 27)) * 0x94D049BB133111EB) >> 63 & 1
+        start = self._start = self.state
+        bits = self._bits = splitmix64_top_bits(
+            start, min(2 * max(len(bits), _SCALAR_FLIPS), _MAX_BATCH))
+        self._taken = 1
+        return bits[0]
 
     @classmethod
     def from_state(cls, value) -> "Coins":
@@ -121,31 +170,101 @@ def footprint_of(sketch) -> int:
 def bulk_insert(sketch, values) -> int:
     """Buffered bulk insert shared by the compactor-stack sketches.
 
-    Fills compactor 0 up to its capacity with list slices and
-    compresses at exactly the same fill points as per-item updates, so
-    the state (including coin consumption) is identical to sequential
-    ``update`` calls.  Returns the number of values inserted; the
-    caller maintains ``n``.
+    Fills compactor 0 up to its capacity with a list slice and hands
+    the rest to :func:`compress`, which compacts at exactly the fill
+    points per-item updates would, so the state (coin consumption
+    included) is identical to sequential ``update`` calls.  Returns the
+    number of values inserted; the caller maintains ``n``.
     """
     if isinstance(values, np.ndarray):
         seq = values.astype(np.float64, copy=False).tolist()
     else:
         seq = [float(v) for v in values]
-    total = len(seq)
-    pos = 0
     sketch._view = None
-    while pos < total:
+    if seq:
         buf = sketch._compactors[0]
-        cap = sketch._capacity(0)
-        take = cap - len(buf)
-        if take <= 0:
-            sketch._compress()
-            continue
-        buf.extend(seq[pos : pos + take])
-        pos += take
+        cap = sketch._capacities()[0]
+        take = max(cap - len(buf), 0)
+        buf.extend(seq[:take])
         if len(buf) >= cap:
-            sketch._compress()
-    return total
+            compress(sketch, seq, take)
+    return len(seq)
+
+
+def compress(sketch, values=(), pos=0) -> None:
+    """Compaction passes up a compactor stack, shared by KLL and REQ.
+
+    One pass now, then one each time ``values[pos:]`` fills level 0
+    again (:func:`bulk_insert`).  A pass walks up from level 0: a level
+    holding at least its capacity is sorted and a random parity of its
+    low part promoted to the level above, growing the stack at the
+    top; the rest stays.  KLL halves the whole level
+    (``_protects_top_half`` False); REQ keeps its top half, so its large
+    values stay exact.  Capacities come from ``sketch._capacities()``.
+
+    A pass stops at the first level it leaves under capacity when
+    ``sketch._settled`` says every level was under capacity before it:
+    the levels above are then untouched and stay under, so an insert
+    costs the levels it compacts, not the height.  A pass that grows
+    the stack shrinks the capacities below the new top, and a protected
+    half can itself be over capacity, so either clears the flag and the
+    next pass scans every level.  ``merge`` and any code that assigns
+    ``_compactors`` clear it too (a new sketch starts cleared), so each
+    pass compacts exactly the levels a rescan of every level would.
+    """
+    sketch._view = None
+    levels = sketch._compactors
+    caps = sketch._capacities()
+    protect = sketch._protects_top_half
+    flip = sketch._coins.flip
+    settled = sketch._settled
+    total = len(values)
+    while True:
+        scan_all = not settled
+        settled = True
+        level = 0
+        top = len(levels) - 1
+        while True:
+            buf = levels[level]
+            size = len(buf)
+            if size >= caps[level]:
+                buf.sort()
+                if level == top:
+                    levels.append([])
+                    caps = sketch._capacities()
+                    top += 1
+                    settled = False
+                cut = size - (size >> 1) if protect else size
+                levels[level + 1].extend(buf[flip() : cut : 2])
+                levels[level] = buf[cut:]
+                if size - cut >= caps[level]:
+                    settled = False
+            elif not scan_all:
+                break
+            if level == top:
+                break
+            level += 1
+        if pos >= total:
+            break
+        buf = levels[0]
+        take = caps[0] - len(buf)
+        if take > 0:
+            buf.extend(values[pos : pos + take])
+            pos += take
+            if len(buf) < caps[0]:
+                break
+    sketch._settled = settled
+
+
+def merge_levels(sketch, other) -> None:
+    """Pool ``other``'s levels into ``sketch``'s, level by level, then compress."""
+    levels = sketch._compactors
+    levels.extend([] for _ in range(len(other._compactors) - len(levels)))
+    for buf, theirs in zip(levels, other._compactors):
+        buf.extend(theirs)
+    sketch.n += other.n
+    sketch._settled = False
+    compress(sketch)
 
 
 def gather_levels(cls, parts: list):
@@ -224,18 +343,23 @@ class KLLSketch(QuantileSketch):
         self._compactors: list[list[float]] = [[]]
         # Per-level capacities for the current height (see _capacities).
         self._caps: list[int] = []
+        # Every level under capacity (see compress); new sketches start cleared.
+        self._settled = False
         self._view = None
         self.n = 0
 
     # -- internals ------------------------------------------------------------
 
+    #: compactions halve a whole level (:func:`compress`)
+    _protects_top_half = False
+
     def _capacities(self) -> list[int]:
         """Per-level capacities k·c^(H−level), min 2 (H = top level).
 
         They depend only on the height, so the list is cached and
-        rebuilt only when the number of levels changes — by ``_grow``
-        or by code that assigns ``_compactors`` outright (``merge_many``,
-        ``from_state_dict``).
+        rebuilt only when the number of levels changes — by a compaction
+        that grows the stack, ``merge``, or code that assigns
+        ``_compactors`` outright (``merge_many``, ``from_state_dict``).
         """
         caps = self._caps
         if len(caps) != len(self._compactors):
@@ -250,32 +374,6 @@ class KLLSketch(QuantileSketch):
         """Capacity of ``level`` at the current height."""
         return self._capacities()[level]
 
-    def _grow(self) -> None:
-        self._compactors.append([])
-
-    def _compact_level(self, level: int) -> None:
-        """Halve ``level`` by promoting a random parity of its sorted items."""
-        buf = self._compactors[level]
-        buf.sort()
-        if level + 1 == len(self._compactors):
-            self._grow()
-        # Promote a random parity; the rest are discarded — their weight
-        # is now represented by the promoted items (unbiased halving).
-        promoted = buf[self._coins.flip()::2]
-        self._compactors[level] = []
-        self._compactors[level + 1].extend(promoted)
-
-    def _compress(self) -> None:
-        self._view = None
-        compactors = self._compactors
-        caps = self._capacities()
-        level = 0
-        while level < len(compactors):
-            if len(compactors[level]) >= caps[level]:
-                self._compact_level(level)
-                caps = self._capacities()  # a new top level shifts every capacity
-            level += 1
-
     # -- public API ------------------------------------------------------------
 
     def update(self, value: float) -> None:
@@ -285,7 +383,7 @@ class KLLSketch(QuantileSketch):
         self.n += 1
         self._view = None
         if len(buf) >= self._capacities()[0]:
-            self._compress()
+            compress(self)
 
     def update_many(self, values) -> None:
         """Bulk insert; state-identical to per-value :meth:`update` calls."""
@@ -325,12 +423,7 @@ class KLLSketch(QuantileSketch):
     def merge(self, other: "KLLSketch") -> None:
         """Merge by concatenating levels, then recompacting."""
         self._check_mergeable(other, "k")
-        while len(self._compactors) < len(other._compactors):
-            self._grow()
-        for level, buf in enumerate(other._compactors):
-            self._compactors[level].extend(buf)
-        self.n += other.n
-        self._compress()
+        merge_levels(self, other)
 
     @classmethod
     def _merge_many_impl(cls, parts: list) -> "KLLSketch":
@@ -338,7 +431,7 @@ class KLLSketch(QuantileSketch):
 
         Walking up from level 0, a level holding at least its capacity is
         sorted with ``np.sort`` and a random parity promoted, as
-        :meth:`_compact_level` does.  The result is a valid KLL sketch
+        :func:`compress` does.  The result is a valid KLL sketch
         over the combined stream with exact ``n``, its ranks unbiased and
         within the same bound as the pairwise fold's (with fewer
         compactions, tighter in practice); its coins continue from the

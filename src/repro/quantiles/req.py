@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from ..core.batch import float_batch
 from .base import QuantileSketch
-from .kll import COMPACTOR_LAYOUT, Coins, bulk_insert, footprint_of, gather_levels
-from .kll import levels_from_state, levels_to_state, sorted_view, view_quantile, view_rank
+from .kll import COMPACTOR_LAYOUT, Coins, bulk_insert, compress, footprint_of, gather_levels
+from .kll import levels_from_state, levels_to_state, merge_levels, sorted_view, view_quantile
+from .kll import view_rank
 
 __all__ = ["ReqSketch"]
 
@@ -54,44 +55,32 @@ class ReqSketch(QuantileSketch):
         self.seed = seed
         self._coins = Coins(seed)
         self._compactors: list[list[float]] = [[]]
+        self._caps: list[int] = []
+        # Every level under capacity (see compress); new sketches start cleared.
+        self._settled = False
         self._view = None
         self.n = 0
 
-    def _capacity(self, level: int) -> int:
-        return self.k
+    #: compactions keep the top half of a level (:func:`compress`)
+    _protects_top_half = True
+
+    def _capacities(self) -> list[int]:
+        """``k`` for every level, cached per height like KLL's."""
+        if len(self._caps) != len(self._compactors):
+            self._caps = [self.k] * len(self._compactors)
+        return self._caps
 
     def update(self, value: float) -> None:
         """Insert one value."""
         self._compactors[0].append(float(value))
         self.n += 1
         self._view = None
-        if len(self._compactors[0]) >= self._capacity(0):
-            self._compress()
+        if len(self._compactors[0]) >= self.k:
+            compress(self)
 
     def update_many(self, values) -> None:
         """Bulk insert; state-identical to per-value :meth:`update` calls."""
         self.n += bulk_insert(self, values)
-
-    def _compress(self) -> None:
-        self._view = None
-        level = 0
-        while level < len(self._compactors):
-            buf = self._compactors[level]
-            if len(buf) >= self._capacity(level):
-                self._compact(level)
-            level += 1
-
-    def _compact(self, level: int) -> None:
-        buf = self._compactors[level]
-        buf.sort()
-        if level + 1 == len(self._compactors):
-            self._compactors.append([])
-        # Protect the top half: only the low half is halved upward.
-        protect = len(buf) // 2
-        low, high = buf[:-protect] if protect else buf, buf[-protect:] if protect else []
-        promoted = low[self._coins.flip()::2]
-        self._compactors[level] = list(high)
-        self._compactors[level + 1].extend(promoted)
 
     def rank(self, value: float) -> float:
         """Estimated number of items ≤ value."""
@@ -113,12 +102,7 @@ class ReqSketch(QuantileSketch):
     def merge(self, other: "ReqSketch") -> None:
         """Merge by pooling compactor levels, then recompacting."""
         self._check_mergeable(other, "k")
-        while len(self._compactors) < len(other._compactors):
-            self._compactors.append([])
-        for level, buf in enumerate(other._compactors):
-            self._compactors[level].extend(buf)
-        self.n += other.n
-        self._compress()
+        merge_levels(self, other)
 
     @classmethod
     def _merge_many_impl(cls, parts: list) -> "ReqSketch":
@@ -129,7 +113,7 @@ class ReqSketch(QuantileSketch):
         """
         merged = gather_levels(cls, parts)
         merged._compactors = [buf.tolist() for buf in merged._compactors]
-        merged._compress()
+        compress(merged)
         return merged
 
     def memory_footprint(self) -> int:

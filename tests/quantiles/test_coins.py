@@ -2,9 +2,10 @@
 
 KLL needs only independent fair coins, one per compaction, so the
 sketches draw them from :class:`repro.quantiles.kll.Coins`, whose whole
-state is one 64-bit int.  These tests pin the stream to the reference
-splitmix64, check that the coins are fair, and re-prove the sketches'
-accuracy on this stream over many seeds.
+state is one 64-bit int.  After a few single flips the stream draws its
+coins ahead in batches; these tests pin it to the reference splitmix64
+on both sides of every batch edge, check that the coins are fair, and
+re-prove the sketches' accuracy on this stream over many seeds.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.quantiles import KLLSketch, ReqSketch
-from repro.quantiles.kll import Coins
+from repro.quantiles.kll import _MAX_BATCH, _SCALAR_FLIPS, Coins
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -26,6 +27,19 @@ def splitmix64(state):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return state, z ^ (z >> 31)
+
+
+def batch_edges(limit=5000):
+    """Flip counts at which a fresh stream starts drawing a new batch."""
+    edges, size, edge = [], 2 * _SCALAR_FLIPS, _SCALAR_FLIPS
+    while edge < limit:
+        edges.append(edge)
+        edge += size
+        size = min(2 * size, _MAX_BATCH)
+    return edges
+
+
+BATCH_EDGES = batch_edges()
 
 
 def four_sigma_band(n, p=0.5):
@@ -46,10 +60,47 @@ class TestStream:
             assert coins.flip() == out >> 63
             assert coins.state == state
 
+    @pytest.mark.parametrize("j", sorted({0, 1, 63, 64, 65, 1000} | {
+        edge + d for edge in BATCH_EDGES for d in (-1, 0, 1)}))
+    def test_flips_and_state_match_the_reference_after_j_flips(self, j):
+        coins = Coins(7)
+        state, flips = 7, []
+        for _ in range(j):
+            state, out = splitmix64(state)
+            flips.append(out >> 63)
+        assert [coins.flip() for _ in range(j)] == flips
+        assert coins.state == state
+
+    def test_assigning_state_in_a_batch_drops_the_coins_drawn_ahead(self):
+        coins = Coins(3)
+        for _ in range(BATCH_EDGES[1] + 5):  # inside the second batch
+            coins.flip()
+        coins.state = 12345
+        assert coins.state == 12345
+        state = 12345
+        for _ in range(200):
+            state, out = splitmix64(state)
+            assert coins.flip() == out >> 63
+            assert coins.state == state
+
     def test_state_is_one_int_in_range(self):
         coins = Coins(-1)
         assert type(coins.state) is int and 0 <= coins.state <= MASK64
         assert not hasattr(coins, "__dict__")
+
+
+@pytest.mark.parametrize("cls", [KLLSketch, ReqSketch], ids=["kll", "req"])
+def test_state_dict_in_a_batch_continues_the_identical_stream(cls):
+    sketch = cls(k=16, seed=5)
+    sketch.update_many(np.random.default_rng(5).normal(size=5000))
+    taken = flips_between(5, sketch._coins.state)
+    assert taken > BATCH_EDGES[0] and taken not in BATCH_EDGES  # inside a batch
+    clone = cls.from_state_dict(sketch.state_dict())
+    assert clone.to_bytes() == sketch.to_bytes()
+    more = np.random.default_rng(6).normal(size=5000)
+    sketch.update_many(more)
+    clone.update_many(more)
+    assert clone.to_bytes() == sketch.to_bytes()
 
 
 def flips_between(start, end):
