@@ -307,7 +307,7 @@ def _timeline_feed(registry, recorder, clock, chunks):
     """Drive one observation chunk into each window and tick it closed."""
     hist = registry.histogram("bench_lat_seconds", "Timeline bench.")
     counter = registry.counter("bench_ops_total", "Timeline bench.")
-    recorder.tick()  # attach the window mirror before the first chunk
+    recorder.tick()  # open the histogram's window before the first chunk
     for chunk in chunks:
         hist.observe_many(chunk)
         counter.inc(len(chunk))
@@ -525,7 +525,7 @@ def build_runner(
              registry.counter("bench_requests_total", "Inline bench.", route=f"r{i}"))
             for i in range(INLINE_ROUTES)
         ]
-        recorder.tick()  # attach the window mirrors
+        recorder.tick()  # open the histograms' windows
         for window in windows:
             for (hist, counter), values in zip(routes, window):
                 for value in values:
@@ -590,7 +590,7 @@ def build_runner(
                  for i in range(len(POLL_OBS))]
         chunks = [[ctx.rng.lognormal(mean=-5.0, sigma=0.5, size=n) for n in POLL_OBS]
                   for _ in range(POLL_WINDOWS)]
-        recorder.tick()  # attach the window mirrors
+        recorder.tick()  # open the histograms' windows
 
         def tick(w):
             for hist, chunk in zip(hists, chunks[w % len(chunks)]):
@@ -774,7 +774,7 @@ def build_runner(
                  for i in range(len(POLL_OBS))]
         chunks = [[ctx.rng.lognormal(mean=-5.0, sigma=0.5, size=n) for n in POLL_OBS]
                   for _ in range(ALERT_STORE_PREFILL)]
-        recorder.tick()  # attach the window mirrors
+        recorder.tick()  # open the histograms' windows
 
         def tick(w):
             for hist, chunk in zip(hists, chunks[w % len(chunks)]):

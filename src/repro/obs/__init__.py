@@ -36,12 +36,16 @@ rather than fixed-bucket approximations — the histogram *is* one of
 the library's own sketches.  ``count``/``sum`` are exact; the empty
 histogram reports ``NaN`` quantiles (``None`` in JSON).  An inline
 ``observe()`` only appends to a buffer of up to 64 values under the
-histogram lock; the buffer flushes through KLL's bulk path when it
-fills, into the window mirror on every timeline tick, and into
-everything on any read (``count``, ``quantile``, ``snapshot``, the
-exporters).  The bulk path compacts at the same fill points as
-per-item updates, so the sketches are bitwise what per-item feeding
-would give.
+histogram lock; the buffer flushes through KLL's bulk path, when it
+fills and on any read, into one sketch: the cumulative one, or the
+open window's while a timeline recorder is attached.  A tick flushes
+the buffer into the window and closes it; the next ``observe`` or read
+merges each closed window into the cumulative sketch.  Reads
+(``count``, ``quantile``, ``snapshot``, the exporters) answer from the
+cumulative sketch plus the open window.  The bulk path compacts at the
+same fill points as per-item updates, so every window partial (and an
+unattached cumulative sketch) is bitwise what per-item feeding would
+give; an attached cumulative is the close-order merge of its windows.
 
 What the hooks record
 ---------------------
@@ -127,8 +131,9 @@ from the library's own mergeable sketches: a
 snapshots the registry every ``interval`` seconds into fixed-width
 windows held in a bounded ring — counters as per-window deltas,
 gauges as last-value, and every :class:`SketchHistogram` as a
-per-window **KLL partial** mirrored atomically under the histogram
-lock.  An arbitrary ``[t0, t1)`` range query folds the covered window
+per-window **KLL partial**: the window's observations enter only that
+sketch, which the tick swaps out atomically under the histogram lock.
+An arbitrary ``[t0, t1)`` range query folds the covered window
 partials with the k-way KLL merge kernel (``merge_many``), so
 ``recorder.query("repro_ingest_seconds", t0, t1).quantile(0.99)``
 answers "what was p99 between t0 and t1" with the same rank guarantee

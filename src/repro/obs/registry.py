@@ -219,22 +219,31 @@ class SketchHistogram:
     Observations stream into a :class:`~repro.quantiles.KLLSketch`, so
     the registry holds O(k) state per metric regardless of how many
     latencies it absorbs, and ``quantile(0.99)`` carries KLL's rank
-    guarantee (ε ≈ O(1/k)).  The inner sketch deliberately bypasses the
+    guarantee (ε ≈ O(1/k)).  The inner sketches deliberately bypass the
     core instrumentation hooks — a histogram recording itself recording
-    itself would recurse.
+    itself would recurse, and would re-enter its own lock.
 
     ``observe`` only appends to a short pending list under the lock;
-    every 64 values, one bulk update feeds them to the cumulative KLL
-    and the window mirror.  KLL's bulk path compacts at the same fill
-    points as per-item updates, so both sketches end up bitwise-identical
-    to per-item feeding.  A fill pays for the levels it compacts,
-    not for the whole height (:func:`~repro.quantiles.kll.compress`),
-    which matters once a cumulative KLL is 11 levels tall and its
-    level 0 fills every 3 values.  Any read flushes first.
+    every 64 values one bulk update feeds them to a single KLL.  With no
+    :class:`~repro.obs.TimelineRecorder` attached that is the cumulative
+    sketch.  While one is attached it is the open window's sketch: a tick
+    hands the window to the recorder as its partial and queues it, and the
+    next ``observe`` or read merges each queued window into the cumulative
+    sketch (:func:`~repro.quantiles.kll.merge_levels`, once per window,
+    never on the tick).  KLL's bulk path compacts at the same fill points
+    as per-item updates, so a window partial — and an unattached
+    cumulative — is bitwise-identical to per-item feeding; an attached
+    cumulative is the close-order merge of its windows, with the same
+    rank bound.  A fill pays for the levels it compacts, not for the
+    whole height (:func:`~repro.quantiles.kll.compress`).  Reads answer
+    from the cumulative sketch plus the open window without changing
+    either; while the open window holds values, each read pays one
+    two-part fold (~60–120 µs on a 12-level cumulative), so take several
+    quantiles from one :meth:`snapshot`.
     """
 
     __slots__ = ("name", "help", "labels", "quantiles", "_kll", "_sum", "_lock",
-                 "_raw_update_many", "_window_kll", "_pending", "_mirror_from")
+                 "_raw_update_many", "_window_kll", "_pending", "_closed")
 
     kind = "histogram"
 
@@ -264,14 +273,13 @@ class SketchHistogram:
         self._raw_update_many = getattr(update_many, "__wrapped__", update_many)
         self._sum = 0.0
         self._lock = threading.Lock()
-        # Current-window mirror sketch, fed alongside the cumulative KLL
-        # while a TimelineRecorder is attached (None otherwise).
+        # The open window's sketch while a TimelineRecorder is attached
+        # (None otherwise); pending values flush into it, not _kll.
         self._window_kll = None
-        # Values observed but not yet in the cumulative KLL; the mirror
-        # still owes the ones from index ``_mirror_from`` on (earlier
-        # ones predate it or were flushed to it at a tick).
+        # Values observed but not yet in a sketch.
         self._pending: list[float] = []
-        self._mirror_from = 0
+        # Closed non-empty windows the cumulative KLL has not merged yet.
+        self._closed: list = []
 
     def observe(self, value: float) -> None:
         """Record one observation (NaN raises ``ValueError``)."""
@@ -279,6 +287,8 @@ class SketchHistogram:
         if value != value:
             raise ValueError("cannot observe NaN")
         with self._lock:
+            if self._closed:
+                self._absorb()
             pending = self._pending
             pending.append(value)
             self._sum += value
@@ -295,68 +305,106 @@ class SketchHistogram:
         with self._lock:
             self._pending.extend(values)
             self._sum += sum(values)
-            self._flush()
+            self._settle()
 
     # -- pending buffer (every helper runs with the lock held) -----------------
 
-    def _flush_window(self) -> None:
-        """Feed the mirror the pending values it has not seen yet."""
-        pending = self._pending
-        window = self._window_kll
-        if window is not None and self._mirror_from < len(pending):
-            self._raw_update_many(window, pending[self._mirror_from:])
-        self._mirror_from = len(pending)
-
     def _flush(self) -> None:
-        """Feed every pending value to the mirror and the cumulative KLL."""
+        """Feed the pending values to the open window, else to the cumulative KLL.
+
+        Closed windows are absorbed before any flush into the cumulative
+        KLL (every caller absorbs first), so it sees them in order.
+        """
         pending = self._pending
         if pending:
-            self._flush_window()
-            self._raw_update_many(self._kll, pending)
+            window = self._window_kll
+            self._raw_update_many(self._kll if window is None else window, pending)
             pending.clear()
-        self._mirror_from = 0
 
-    # -- timeline window mirror (driven by repro.obs.timeline) -----------------
+    def _absorb(self) -> None:
+        """Merge each closed window into the cumulative KLL, in close order.
+
+        Through the unwrapped :func:`~repro.quantiles.kll.merge_levels`:
+        the instrumented ``KLLSketch.merge`` records into the registry's
+        own histograms while metrics are on, and would re-enter this
+        lock.  A closed window is the recorder's partial; the merge only
+        reads it.
+        """
+        from ..quantiles.kll import merge_levels
+
+        for part in self._closed:
+            merge_levels(self._kll, part)
+        self._closed.clear()
+
+    def _settle(self) -> None:
+        """Absorb closed windows, then flush the pending values."""
+        if self._closed:
+            self._absorb()
+        self._flush()
+
+    def _answer(self):
+        """The sketch a read answers from: the cumulative KLL plus the open window.
+
+        Both non-empty, a fresh two-part fold, so the read changes neither.
+        """
+        self._settle()
+        window = self._window_kll
+        if window is None or not window.n:
+            return self._kll
+        if not self._kll.n:
+            return window
+        return type(window)._merge_many_impl([self._kll, window])
+
+    # -- timeline windows (driven by repro.obs.timeline) -----------------------
 
     def _attach_window(self) -> None:
-        """Start mirroring observations into a fresh current-window KLL."""
+        """Start feeding observations into a fresh open-window KLL."""
         from ..quantiles.kll import KLLSketch
 
         with self._lock:
             if self._window_kll is None:
-                self._window_kll = KLLSketch(k=self._kll.k, seed=0)
                 # Values already pending were observed before the window.
-                self._mirror_from = len(self._pending)
+                self._settle()
+                self._window_kll = KLLSketch(k=self._kll.k, seed=0)
+
+    def _close_window(self, successor) -> None:
+        """Flush into the open window, queue it if non-empty, open ``successor``."""
+        window = self._window_kll
+        if window is not None:
+            self._flush()
+            if window.n:
+                self._closed.append(window)
+            self._window_kll = successor
 
     def _take_window(self):
-        """Swap the current-window KLL out for a fresh one and return it.
+        """Swap the open-window KLL out for a fresh one and return it.
 
-        Returns None when no window mirror is attached.  The swap is
-        atomic with respect to :meth:`observe` — both run under the
-        histogram lock — so an observation lands entirely in one window
-        (never torn across two).  Only the mirror is flushed: values
-        still owed to the cumulative KLL stay pending.
+        Returns None when no window is attached.  The swap is atomic
+        with respect to :meth:`observe` — both run under the histogram
+        lock — so an observation lands entirely in one window (never
+        torn across two).  The tick only flushes the pending values into
+        the window and queues it: the cumulative KLL merges it on the
+        next observe or read.
         """
         from ..quantiles.kll import KLLSketch
 
         with self._lock:
             window = self._window_kll
             if window is not None:
-                self._flush_window()
-                self._window_kll = KLLSketch(k=self._kll.k, seed=0)
+                self._close_window(KLLSketch(k=self._kll.k, seed=0))
             return window
 
     def _detach_window(self) -> None:
-        """Stop mirroring (the unattached observe path is mirror-free)."""
+        """Stop windowing; the open window's values still reach the cumulative KLL."""
         with self._lock:
-            self._flush_window()
-            self._window_kll = None
+            self._close_window(None)
 
     @property
     def count(self) -> int:
         with self._lock:
-            self._flush()
-            return self._kll.n
+            self._settle()
+            window = self._window_kll
+            return self._kll.n + (0 if window is None else window.n)
 
     @property
     def sum(self) -> float:
@@ -364,7 +412,7 @@ class SketchHistogram:
 
     @property
     def k(self) -> int:
-        """The inner KLL's ``k`` (window-partial mirrors share it)."""
+        """The inner KLL's ``k`` (window partials share it)."""
         return self._kll.k
 
     def rank_error_bound(self) -> float:
@@ -374,26 +422,23 @@ class SketchHistogram:
     def quantile(self, q: float) -> float:
         """Estimated q-quantile of everything observed (NaN when empty)."""
         with self._lock:
-            self._flush()
-            if self._kll.n == 0:
+            sketch = self._answer()
+            if sketch.n == 0:
                 return float("nan")
-            return self._kll.quantile(q)
+            return sketch.quantile(q)
 
     def snapshot(self) -> dict[str, Any]:
         """count/sum/quantiles as plain data (the JSON export form)."""
         with self._lock:
-            self._flush()
-            n = self._kll.n
+            sketch = self._answer()
+            n = sketch.n
             quantiles = {
-                str(q): (self._kll.quantile(q) if n else None) for q in self.quantiles
+                str(q): (sketch.quantile(q) if n else None) for q in self.quantiles
             }
             return {"count": n, "sum": self._sum, "quantiles": quantiles}
 
     def __repr__(self) -> str:
-        with self._lock:
-            self._flush()
-            n = self._kll.n
-        return f"SketchHistogram({self.name}{self.labels or ''}, n={n})"
+        return f"SketchHistogram({self.name}{self.labels or ''}, n={self.count})"
 
 
 class MetricsRegistry:

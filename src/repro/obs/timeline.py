@@ -11,9 +11,11 @@ telemetry plane):
   :class:`~repro.obs.MetricsRegistry` every ``interval`` seconds into
   fixed-width :class:`TimelineWindow`\\ s held in a bounded ring:
   **counters** as per-window deltas, **gauges** as last-value, and
-  **histograms** as per-window KLL *partials* (each
-  :class:`~repro.obs.SketchHistogram` mirrors its observations into a
-  current-window sketch, swapped out atomically at every tick).
+  **histograms** as per-window KLL *partials* (while a recorder is
+  attached, each :class:`~repro.obs.SketchHistogram` feeds its
+  observations into a current-window sketch only, swapped out
+  atomically at every tick; the histogram's cumulative sketch merges
+  each closed window on its next observe or read, never on the tick).
 - An arbitrary ``[t0, t1)`` range query (:meth:`TimelineRecorder.query`)
   folds the covered window partials with the k-way KLL merge kernel —
   KLL merges carry no error inflation, so ``query(...).quantile(0.99)``
@@ -29,10 +31,12 @@ telemetry plane):
   folds on every poll.
 
 The recorder is **off by default**: nothing records until
-:meth:`~TimelineRecorder.start` (or an explicit :meth:`tick`), and the
-per-observation mirror cost exists only while a recorder is attached —
-``scripts/check_overhead.py`` holds a recorder that was never started
-under 2% and a running 1 s recorder under 5%, via the
+:meth:`~TimelineRecorder.start` (or an explicit :meth:`tick`).  An
+attached recorder adds no per-observation work — an observation enters
+the window sketch instead of the cumulative one — only one merge per
+closed non-empty window and histogram, on the histogram's next observe
+or read.  ``scripts/check_overhead.py`` holds a recorder that was never
+started under 2% and a running 1 s recorder under 5%, via the
 :mod:`repro.obs.bench` paired-overhead protocol.
 
 >>> recorder = TimelineRecorder(interval=1.0, max_windows=600)
@@ -371,7 +375,7 @@ class TimelineRecorder(Ticker):
         (drive :meth:`tick` manually instead of :meth:`start`).
 
     One recorder per registry: the recorder owns the histograms'
-    current-window mirrors, which a second concurrent recorder would
+    current-window sketches, which a second concurrent recorder would
     steal on every tick.
     """
 
@@ -426,7 +430,7 @@ class TimelineRecorder(Ticker):
                 if isinstance(metric, SketchHistogram):
                     partial = metric._take_window()
                     if partial is None:
-                        # Created since the last tick: start mirroring
+                        # Created since the last tick: start its window
                         # now; this window records it as empty.
                         metric._attach_window()
                         continue
@@ -496,7 +500,7 @@ class TimelineRecorder(Ticker):
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> "TimelineRecorder":
-        """Attach mirrors and tick on ``interval`` boundaries of the recorder's clock.
+        """Open the histograms' windows and tick on ``interval`` boundaries of the clock.
 
         A tick that raises is counted and the next one still runs
         (:mod:`repro.obs.ticker`); :meth:`stop` flushes the open window.

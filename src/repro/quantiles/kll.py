@@ -68,7 +68,7 @@ class Coins:
     flips, and after ``_SCALAR_FLIPS`` single flips the stream draws
     its coins ahead in numpy batches (:func:`splitmix64_top_bits`) of
     32 doubling up to ``_MAX_BATCH``: a sketch that flips once or twice
-    (a window mirror, a fold result) pays no numpy call, a busy one
+    (a small window partial, a fold result) pays no numpy call, a busy one
     pays well under a scalar mix per coin.  ``state`` is computed from
     the batch's start state and the flips taken since, exact after
     every flip; assigning it drops the coins drawn ahead.

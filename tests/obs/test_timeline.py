@@ -80,7 +80,7 @@ class TestWindows:
     def test_histogram_partials_split_by_window(self, recorder):
         registry, rec, clock = recorder
         hist = registry.histogram("lat", "t")
-        rec.tick()  # attaches the mirror; hist created before -> empty window
+        rec.tick()  # opens the window; hist created before -> empty window
         hist.observe_many([1.0] * 100)
         t1 = clock.advance(1.0)
         rec.tick()
@@ -199,7 +199,7 @@ class TestLifecycle:
         hist.observe_many([3.0] * 50)
         rec.stop()
         assert rec.query("lat").count == 50
-        assert hist._window_kll is None  # mirror cost gone after stop
+        assert hist._window_kll is None  # values feed the cumulative again
 
     def test_background_thread_ticks_on_boundaries(self):
         registry = MetricsRegistry()
@@ -228,7 +228,7 @@ class TestMergeCorrectness:
         registry, rec, clock = recorder
         rec.max_windows = 64
         hist = registry.histogram("lat", "t", k=200)
-        rec.tick()  # attach mirror
+        rec.tick()  # open the window
         rng = np.random.default_rng(42)
         per_window = []
         boundaries = [clock.now]
@@ -347,7 +347,7 @@ class TestConcurrentAccess:
         rec = TimelineRecorder(registry=registry, interval=1.0, max_windows=100_000,
                                clock=clock)
         hist = registry.histogram("lat_seconds", "t")
-        rec.tick(clock.advance(1.0))  # attach the mirror before any observation
+        rec.tick(clock.advance(1.0))  # open the window before any observation
         per_thread = 20_000
         done = threading.Barrier(5)
         errors: list[BaseException] = []

@@ -38,7 +38,7 @@ def _record(path, seed):
     hists = [registry.histogram("lat", k=k, route=route) for route in ROUTES]
     counter = registry.counter("ops_total")
     gauge = registry.gauge("depth")
-    rec.tick(clock[0])  # starts the histograms' window mirrors
+    rec.tick(clock[0])  # opens the histograms' windows
     for _ in range(WINDOWS):
         for hist in hists:
             hist.observe_many(rng.lognormal(0.0, 1.0, int(rng.integers(1, 600))))
